@@ -19,7 +19,7 @@ use std::process::{Command, ExitCode, Stdio};
 
 /// Fresh processes whose set-up times `setup_s` is the median of (the
 /// measuring process is one of them).
-const SETUP_PROCESSES: usize = 3;
+const SETUP_PROCESSES: usize = 5;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Workload {
@@ -140,21 +140,24 @@ impl Args {
     }
 }
 
-/// Per-seed stores of a workload kept on disk at once; older ones are
-/// deleted, so a long series of seeds does not fill the disk.
+/// Per-seed (or per-length) stores of a workload kept on disk at once;
+/// older ones are deleted, so a long series of seeds does not fill the disk.
 const KEPT_STORES: usize = 2;
 
 /// The build's warm store for a run: beside the executable, under a hash
 /// of the executable (so no two builds ever share one), one directory per
-/// workload and, where the stored data depends on it, per seed.
+/// workload and, where the stored data depends on them, per seed and run
+/// length.
 fn store_dir(a: &Args) -> std::io::Result<(PathBuf, String)> {
     let exe = std::env::current_exe()?;
     let id = build_id(&exe)?;
     let root = exe.parent().unwrap_or(Path::new(".")).join("perfbench-store").join(&id);
     let name = match a.workload {
-        // The Eclipse service's configuration does not depend on the seed.
+        // The Eclipse service's configuration depends on neither.
         Workload::EclipseFleet => a.workload.name().to_string(),
-        _ => format!("{}-{}-{}", a.workload.name(), a.seed, a.seconds),
+        // The Volta service's streams are as long as the run needs.
+        Workload::VoltaWireLearn => format!("{}-{}", a.workload.name(), a.seconds),
+        Workload::AlSweep => format!("{}-{}-{}", a.workload.name(), a.seed, a.seconds),
     };
     let dir = root.join(name);
     std::fs::create_dir_all(&dir)?;
@@ -216,7 +219,7 @@ fn populate(a: &Args, store: &Path) {
     match a.workload.serve_kind() {
         Some(kind) => {
             let shape = serve::Shape::new(kind, a.seconds);
-            let cfg = serve::config(&shape, a.seed, store);
+            let cfg = serve::config(&shape, store);
             drop(serve::build_service(&cfg, store, alba_obs::Obs::disabled()));
             serve::clear_journals(store);
         }
@@ -231,7 +234,7 @@ fn setup_probe(a: &Args, store: &Path) -> f64 {
     match a.workload.serve_kind() {
         Some(kind) => {
             let shape = serve::Shape::new(kind, a.seconds);
-            let cfg = serve::config(&shape, a.seed, store);
+            let cfg = serve::config(&shape, store);
             serve::build_service(&cfg, store, alba_obs::Obs::disabled()).1
         }
         None => sweep::load_datasets(a.seed, store),
