@@ -18,11 +18,20 @@
 //! so feature extraction and inference can run once per *batch* of
 //! nodes; [`NodeMonitor::ingest`] composes the same hooks for
 //! single-node use.
+//!
+//! The window lives in a fixed, metric-major slab (`WindowSlab`):
+//! `push` writes one value per metric and only every `stride + 1`
+//! samples moves the newest `window - 1` samples back to the front, so
+//! the hot path neither allocates nor memmoves a whole window per
+//! sample, while extraction still borrows one contiguous slice per
+//! metric.
 
 use std::sync::Arc;
 
-use alba_data::{Matrix, MetricDef, MultiSeries};
-use alba_features::{ExtractPlan, ExtractScratch, FeatureExtractor, FeatureView, PreprocessConfig};
+use alba_data::{Matrix, MetricDef, MetricKind, MultiSeries};
+use alba_features::{
+    ExtractPlan, ExtractScratch, FeatureExtractor, FeatureView, PreprocessConfig, SeriesSource,
+};
 use alba_ml::{Diagnosis, DiagnosisModel};
 use serde::{Deserialize, Serialize};
 
@@ -72,6 +81,83 @@ fn stream_preprocess() -> PreprocessConfig {
     PreprocessConfig { trim_frac: 0.0, diff_counters: true, interpolate: true }
 }
 
+/// One node's sliding window: every metric owns `window + stride`
+/// consecutive slots of one buffer, and the window is the newest
+/// `min(end, window)` samples before `end` in each metric's slots (`end`
+/// never drops below `window` once the window has filled). When the
+/// slots are full, the newest `window - 1` samples move back to the
+/// front, so a compaction happens once every `stride + 1` pushes and
+/// the slab never grows.
+#[derive(Clone)]
+struct WindowSlab {
+    metrics: Vec<MetricDef>,
+    window: usize,
+    /// Slots per metric (`window + stride`).
+    cap: usize,
+    /// Metric `m`'s slots are `data[m * cap..(m + 1) * cap]`.
+    data: Vec<f64>,
+    /// One past the newest sample, in every metric's slots (stays 0 for
+    /// an empty catalog, which therefore never fills a window).
+    end: usize,
+}
+
+impl WindowSlab {
+    fn new(metrics: Vec<MetricDef>, window: usize, stride: usize) -> Self {
+        let cap = window + stride;
+        Self { data: vec![0.0; metrics.len() * cap], metrics, window, cap, end: 0 }
+    }
+
+    /// Appends one timestamp of readings, dropping the oldest sample once
+    /// the window is full.
+    ///
+    /// # Panics
+    /// Panics when `readings.len()` differs from the metric count.
+    fn push(&mut self, readings: &[f64]) {
+        assert_eq!(readings.len(), self.metrics.len(), "sample width mismatch");
+        if self.metrics.is_empty() {
+            return;
+        }
+        if self.end == self.cap {
+            let keep = self.window - 1;
+            for slots in self.data.chunks_exact_mut(self.cap) {
+                slots.copy_within(self.cap - keep.., 0);
+            }
+            self.end = keep;
+        }
+        for (slots, &v) in self.data.chunks_exact_mut(self.cap).zip(readings) {
+            slots[self.end] = v;
+        }
+        self.end += 1;
+    }
+
+    /// Copies the window into an owned series (the reference path).
+    fn to_series(&self) -> MultiSeries {
+        MultiSeries {
+            metrics: self.metrics.clone(),
+            values: (0..self.metrics.len()).map(|m| self.metric(m).to_vec()).collect(),
+        }
+    }
+}
+
+impl SeriesSource for WindowSlab {
+    fn n_metrics(&self) -> usize {
+        self.metrics.len()
+    }
+
+    fn series_len(&self) -> usize {
+        self.end.min(self.window)
+    }
+
+    fn metric(&self, m: usize) -> &[f64] {
+        let base = m * self.cap;
+        &self.data[base + self.end - self.series_len()..base + self.end]
+    }
+
+    fn metric_kind(&self, m: usize) -> MetricKind {
+        self.metrics[m].kind
+    }
+}
+
 /// Sliding-window online diagnoser for one compute node.
 #[derive(Clone)]
 pub struct NodeMonitor {
@@ -84,7 +170,7 @@ pub struct NodeMonitor {
     /// metrics the model never consumes. Shared by cloned monitors.
     plan: Arc<ExtractPlan>,
     config: MonitorConfig,
-    buffer: MultiSeries,
+    buffer: WindowSlab,
     since_last: usize,
     ingested: usize,
     /// Labels of the most recent consecutive anomalous windows.
@@ -108,13 +194,14 @@ impl NodeMonitor {
         assert!(config.stride >= 1, "stride must be positive");
         assert!(config.confirm >= 1, "confirm must be positive");
         let plan = Arc::new(view.plan(extractor.as_ref()));
+        let buffer = WindowSlab::new(metrics, config.window, config.stride);
         Self {
             model,
             extractor,
             view,
             plan,
             config,
-            buffer: MultiSeries::new(metrics),
+            buffer,
             since_last: 0,
             ingested: 0,
             streak: Vec::new(),
@@ -142,17 +229,10 @@ impl NodeMonitor {
     /// [`NodeMonitor::window_row`] and, once the model has run,
     /// [`NodeMonitor::apply_diagnosis`].
     pub fn push(&mut self, readings: &[f64]) -> bool {
-        self.buffer.push_sample(readings);
+        self.buffer.push(readings);
         self.ingested += 1;
         self.since_last += 1;
-        // Trim the buffer to the window length.
-        if self.buffer.len() > self.config.window {
-            let excess = self.buffer.len() - self.config.window;
-            for series in &mut self.buffer.values {
-                series.drain(..excess);
-            }
-        }
-        if self.buffer.len() < self.config.window || self.since_last < self.config.stride {
+        if self.buffer.series_len() < self.config.window || self.since_last < self.config.stride {
             return false;
         }
         self.since_last = 0;
@@ -162,8 +242,12 @@ impl NodeMonitor {
     /// Extracts the *unscaled* model-input row for the current window.
     /// Batched callers stack these rows into a matrix, scale it once via
     /// [`NodeMonitor::view`], and run the model over the whole batch.
+    ///
+    /// The reference path: it copies the window into a [`MultiSeries`]
+    /// and extracts every metric.
     pub fn window_row(&self) -> Vec<f64> {
-        self.view.unscaled_row(self.extractor.as_ref(), &self.buffer, &stream_preprocess())
+        let window = self.buffer.to_series();
+        self.view.unscaled_row(self.extractor.as_ref(), &window, &stream_preprocess())
     }
 
     /// Zero-copy equivalent of [`NodeMonitor::window_row`]: extracts only
@@ -454,6 +538,89 @@ mod tests {
             }
         }
         assert!(checked > 3, "stream produced enough windows to compare");
+    }
+
+    fn catalog(n: usize) -> Vec<MetricDef> {
+        (0..n)
+            .map(|m| MetricDef {
+                name: format!("m{m}"),
+                subsystem: "test".to_string(),
+                kind: if m % 3 == 0 { MetricKind::Counter } else { MetricKind::Gauge },
+            })
+            .collect()
+    }
+
+    /// Reading `m` at time `t`: cumulative counters, oscillating gauges
+    /// and scattered NaN gaps (including whole-row gaps).
+    fn reading(t: usize, m: usize) -> f64 {
+        if (t * 7 + m * 3).is_multiple_of(13) || t % 29 == 17 {
+            f64::NAN
+        } else if m.is_multiple_of(3) {
+            (t * (m + 1)) as f64 * 1.5
+        } else {
+            ((t as f64) * 0.37 + m as f64).sin() * 10.0 + 0.1 * m as f64
+        }
+    }
+
+    /// The slab must lend exactly the samples the old `Vec<Vec<f64>>`
+    /// push + `drain` window held, bit for bit, after every push.
+    #[test]
+    fn slab_matches_drain_reference_bitwise() {
+        let metrics = catalog(5);
+        for window in [8usize, 60, 61] {
+            for stride in [1, 10, window] {
+                let mut slab = WindowSlab::new(metrics.clone(), window, stride);
+                let mut naive: Vec<Vec<f64>> = vec![Vec::new(); metrics.len()];
+                let mut compactions = 0;
+                for t in 0..window + 4 * (stride + 1) + 3 {
+                    let row: Vec<f64> = (0..metrics.len()).map(|m| reading(t, m)).collect();
+                    let end_before = slab.end;
+                    slab.push(&row);
+                    compactions += usize::from(slab.end <= end_before);
+                    for (series, &v) in naive.iter_mut().zip(&row) {
+                        series.push(v);
+                        if series.len() > window {
+                            series.drain(..series.len() - window);
+                        }
+                    }
+                    assert_eq!(slab.series_len(), naive[0].len(), "w={window} s={stride} t={t}");
+                    for (m, want) in naive.iter().enumerate() {
+                        let got = SeriesSource::metric(&slab, m);
+                        assert_eq!(got.len(), want.len());
+                        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+                            assert!(
+                                a.to_bits() == b.to_bits(),
+                                "w={window} s={stride} t={t} m={m} i={i}: {a} vs {b}"
+                            );
+                        }
+                        assert_eq!(slab.metric_kind(m), metrics[m].kind);
+                    }
+                }
+                assert!(compactions >= 3, "w={window} s={stride}: {compactions} compactions");
+            }
+        }
+    }
+
+    /// With no metrics there is no window to fill: as with an empty
+    /// `MultiSeries`, the monitor never reports a window due.
+    #[test]
+    fn empty_catalog_never_completes_a_window() {
+        let (model, view) = deployable();
+        let mut monitor =
+            NodeMonitor::new(model, Arc::new(Mvts), vec![], view, MonitorConfig::default());
+        for _ in 0..500 {
+            assert!(!monitor.push(&[]));
+        }
+        assert_eq!(monitor.ingested(), 500);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample width mismatch")]
+    fn width_mismatch_panics() {
+        let (model, view) = deployable();
+        let mut monitor =
+            NodeMonitor::new(model, Arc::new(Mvts), catalog(4), view, MonitorConfig::default());
+        monitor.push(&[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -2,7 +2,11 @@
 //!
 //! Trees are fitted on bootstrap resamples with `sqrt`-feature subsetting
 //! and trained in parallel with rayon; `predict_proba` averages the leaf
-//! distributions of all trees (scikit-learn semantics).
+//! distributions of all trees (scikit-learn semantics). Inference runs in
+//! the calling thread: each tree adds its leaf distributions into one
+//! accumulator, in tree order, so no per-tree matrix is allocated and no
+//! thread is spawned — the serve path parallelises across `alba-par`
+//! shards instead, one level up.
 
 use crate::model::Classifier;
 use crate::tree::{Criterion, DecisionTree, MaxFeatures, TreeParams};
@@ -97,19 +101,12 @@ impl Classifier for RandomForest {
     }
 
     fn predict_proba(&self, x: &Matrix) -> Matrix {
-        assert!(!self.trees.is_empty(), "predict_proba called before fit");
-        // Sum tree probabilities in parallel, then average.
-        let mut acc = self
-            .trees
-            .par_iter()
-            .map(|t| t.predict_proba(x))
-            .reduce_with(|mut a, b| {
-                for (va, vb) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-                    *va += vb;
-                }
-                a
-            })
-            .expect("at least one tree");
+        let (first, rest) = self.trees.split_first().expect("predict_proba called before fit");
+        // Sum the leaf distributions in tree order, then average.
+        let mut acc = first.predict_proba(x);
+        for t in rest {
+            t.add_proba_into(x, &mut acc);
+        }
         let n = self.trees.len() as f64;
         acc.map_inplace(|v| v / n);
         acc
@@ -233,6 +230,55 @@ mod tests {
         f.fit(&x, &y, 2);
         let p = f.predict_proba(&Matrix::from_rows(&[vec![0.5]]));
         assert!(p.get(0, 0) > 0.02 && p.get(0, 0) < 0.98, "boundary proba {}", p.get(0, 0));
+    }
+
+    /// In-thread inference must equal the per-tree reference bit for
+    /// bit: each tree's `predict_proba` matrix, summed in tree order,
+    /// then divided by the tree count.
+    #[test]
+    fn predict_proba_matches_per_tree_reference_bitwise() {
+        // Overlapping, label-noisy classes keep leaves impure, so the
+        // per-tree distributions are non-trivial fractions whose sum
+        // depends on the order they are added in.
+        let mut rows = Vec::new();
+        let mut y = Vec::new();
+        for i in 0..120 {
+            let u = (i * 37 % 101) as f64 / 101.0;
+            let v = (i * 53 % 89) as f64 / 89.0;
+            rows.push(vec![u, v, u * v]);
+            y.push((usize::from(u + 0.3 * v > 0.6) + usize::from(i % 5 == 0) * (i % 3)) % 3);
+        }
+        let x = Matrix::from_rows(&rows);
+        let mut f = RandomForest::new(ForestParams {
+            n_estimators: 23,
+            max_depth: Some(4),
+            seed: 11,
+            ..ForestParams::default()
+        });
+        f.fit(&x, &y, 3);
+        for n_rows in [1usize, 37] {
+            let batch: Vec<Vec<f64>> =
+                (0..n_rows).map(|r| rows[(r * 13 + 5) % rows.len()].clone()).collect();
+            let batch = Matrix::from_rows(&batch);
+            let mut want = Matrix::zeros(n_rows, 3);
+            for tree in &f.trees {
+                let p = tree.predict_proba(&batch);
+                for (a, b) in want.as_mut_slice().iter_mut().zip(p.as_slice()) {
+                    *a += b;
+                }
+            }
+            let n = f.n_trees() as f64;
+            want.map_inplace(|v| v / n);
+            let got = f.predict_proba(&batch);
+            assert_eq!((got.rows(), got.cols()), (n_rows, 3));
+            for (i, (a, b)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+                assert!(a.to_bits() == b.to_bits(), "{n_rows} rows, cell {i}: {a} vs {b}");
+            }
+            assert!(
+                got.as_slice().iter().any(|&p| p > 0.0 && p < 1.0),
+                "reference must exercise fractional sums"
+            );
+        }
     }
 
     #[test]

@@ -137,6 +137,30 @@ impl DecisionTree {
         }
     }
 
+    /// The class distribution of the leaf `row` lands in.
+    fn leaf_for(&self, row: &[f64]) -> &[f64] {
+        let mut node = 0u32;
+        loop {
+            match &self.nodes[node as usize] {
+                Node::Leaf { dist } => return dist,
+                Node::Split { feature, threshold, left, right } => {
+                    node = if row[*feature] <= *threshold { *left } else { *right };
+                }
+            }
+        }
+    }
+
+    /// Adds this tree's leaf distribution for every row of `x` into the
+    /// matching row of `acc` — the forest's allocation-free inference
+    /// step.
+    pub(crate) fn add_proba_into(&self, x: &Matrix, acc: &mut Matrix) {
+        for r in 0..x.rows() {
+            for (a, &p) in acc.row_mut(r).iter_mut().zip(self.leaf_for(x.row(r))) {
+                *a += p;
+            }
+        }
+    }
+
     fn leaf_dist(&self, counts: &[f64]) -> Node {
         let total: f64 = counts.iter().sum();
         let dist = if total > 0.0 {
@@ -264,19 +288,7 @@ impl Classifier for DecisionTree {
         assert!(!self.nodes.is_empty(), "predict_proba called before fit");
         let mut out = Matrix::zeros(x.rows(), self.n_classes);
         for r in 0..x.rows() {
-            let row = x.row(r);
-            let mut node = 0u32;
-            loop {
-                match &self.nodes[node as usize] {
-                    Node::Leaf { dist } => {
-                        out.row_mut(r).copy_from_slice(dist);
-                        break;
-                    }
-                    Node::Split { feature, threshold, left, right } => {
-                        node = if row[*feature] <= *threshold { *left } else { *right };
-                    }
-                }
-            }
+            out.row_mut(r).copy_from_slice(self.leaf_for(x.row(r)));
         }
         out
     }

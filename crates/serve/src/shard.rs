@@ -8,7 +8,9 @@
 //! node-at-a-time baseline (`batched = false`). Shards are `Send`, so
 //! the service moves them onto its `alba-par` worker pool every tick;
 //! each shard's report is assembled in deterministic node order
-//! regardless of which thread ran it.
+//! regardless of which thread ran it. Parallelism lives at that one
+//! level: extraction and forest inference inside a shard run in the
+//! worker's own thread and spawn nothing.
 
 use crate::replay::TelemetrySample;
 use alba_active::uncertainty_score;
@@ -107,6 +109,9 @@ pub struct Shard {
     /// `"0"`, `"1"`, ... — the obs label value for this shard.
     label: String,
     misrouted_c: Counter,
+    /// `shard_malformed_total`, registered on the first malformed sample
+    /// (so a clean run's exposition does not list it) and cached after.
+    malformed_c: Option<Counter>,
 }
 
 impl Shard {
@@ -157,6 +162,7 @@ impl Shard {
             obs,
             label,
             misrouted_c,
+            malformed_c: None,
         }
     }
 
@@ -264,7 +270,11 @@ impl Shard {
             // index out of bounds inside the monitor; count and skip.
             if s.values.len() != self.metrics.len() {
                 self.stats.malformed += 1;
-                self.obs.counter("shard_malformed_total", &[("shard", &self.label)]).inc();
+                self.malformed_c
+                    .get_or_insert_with(|| {
+                        self.obs.counter("shard_malformed_total", &[("shard", &self.label)])
+                    })
+                    .inc();
                 continue;
             }
             self.stats.samples += 1;

@@ -41,6 +41,9 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench tests (outside the workspace: schedule and stats)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 if [ "$FULL" = "1" ]; then
     echo "==> slow suites (--full: #[ignore]d tests)"
     cargo test --workspace -q -- --ignored
