@@ -5,7 +5,7 @@
 //! generation are setup, not the measured region) and measures a full
 //! replay-to-completion run on a clone: ingest, windowing, batched
 //! feature extraction, batched inference, hysteresis and the feedback
-//! loop. Shard counts {1, 2, 4, 8} show the rayon scaling; the
+//! loop. Shard counts {1, 2, 4, 8} show the `alba-par` pool scaling; the
 //! `baseline` case pays one model call per window on a single shard.
 //!
 //! Run with: `cargo bench -p alba-bench --bench serve_throughput`

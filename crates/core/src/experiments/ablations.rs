@@ -22,7 +22,6 @@ use crate::split::{prepare_split, seed_and_pool};
 use alba_active::{run_batched_session, MethodCurves, SessionConfig, Strategy};
 use alba_data::Dataset;
 use alba_ml::{ModelFamily, ModelSpec, Scores};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Result of the strategy x model matrix.
@@ -70,9 +69,8 @@ pub fn run_strategy_model_matrix(scale: &RunScale) -> StrategyModelMatrix {
 
     let jobs: Vec<(usize, usize)> =
         (0..strategies.len()).flat_map(|s| (0..families.len()).map(move |f| (s, f))).collect();
-    let scores: Vec<((usize, usize), f64)> = jobs
-        .par_iter()
-        .map(|&(si, fi)| {
+    let scores: Vec<((usize, usize), f64)> =
+        alba_par::map(alba_par::available_cores(), &jobs, |&(si, fi)| {
             let spec = ModelSpec::tuned(families[fi], true);
             let session = run_batched_session(
                 &spec,
@@ -91,8 +89,7 @@ pub fn run_strategy_model_matrix(scale: &RunScale) -> StrategyModelMatrix {
             );
             let f1 = session.records.last().map_or(session.initial_scores.f1, |r| r.scores.f1);
             ((si, fi), f1)
-        })
-        .collect();
+        });
     let mut final_f1 = vec![vec![0.0; families.len()]; strategies.len()];
     for ((s, f), v) in scores {
         final_f1[s][f] = v;
@@ -211,18 +208,15 @@ impl TopKSweep {
 pub fn run_topk_sweep(scale: &RunScale, ks: &[usize]) -> TopKSweep {
     let data = SystemData::generate_best(System::Volta, scale.campaign, scale.seed);
     let spec = scale.model(true);
-    let f1: Vec<f64> = ks
-        .par_iter()
-        .map(|&k| {
-            let mut cfg = scale.split;
-            cfg.top_k_features = k;
-            let split = prepare_split(&data.dataset, &cfg, scale.seed ^ 0x70F);
-            let mut model = spec.with_seed(scale.seed ^ 0x70E).build();
-            model.fit(&split.train.x, &split.train.y, split.train.n_classes());
-            let pred = model.predict(&split.test.x);
-            Scores::compute(&split.test.y, &pred, split.train.n_classes()).f1
-        })
-        .collect();
+    let f1: Vec<f64> = alba_par::map(alba_par::available_cores(), ks, |&k| {
+        let mut cfg = scale.split;
+        cfg.top_k_features = k;
+        let split = prepare_split(&data.dataset, &cfg, scale.seed ^ 0x70F);
+        let mut model = spec.with_seed(scale.seed ^ 0x70E).build();
+        model.fit(&split.train.x, &split.train.y, split.train.n_classes());
+        let pred = model.predict(&split.test.x);
+        Scores::compute(&split.test.y, &pred, split.train.n_classes()).f1
+    });
     TopKSweep { ks: ks.to_vec(), f1 }
 }
 
@@ -326,9 +320,8 @@ pub fn run_batch_mode(scale: &RunScale, batch_sizes: &[usize]) -> BatchModeAblat
     let sp = seed_and_pool(&split.train, None, scale.seed ^ 0xBA8);
     let spec = scale.model(true);
 
-    let results: Vec<(Option<f64>, f64, usize)> = batch_sizes
-        .par_iter()
-        .map(|&b| {
+    let results: Vec<(Option<f64>, f64, usize)> =
+        alba_par::map(alba_par::available_cores(), batch_sizes, |&b| {
             let session = run_batched_session(
                 &spec,
                 &sp.seed_set,
@@ -347,8 +340,7 @@ pub fn run_batch_mode(scale: &RunScale, batch_sizes: &[usize]) -> BatchModeAblat
                 session.records.last().map_or(session.initial_scores.f1, |r| r.scores.f1);
             let retrains = session.records.len().div_ceil(b);
             (to_080, final_f1, retrains)
-        })
-        .collect();
+        });
     BatchModeAblation {
         batch_sizes: batch_sizes.to_vec(),
         labels_to_080: results.iter().map(|r| r.0).collect(),

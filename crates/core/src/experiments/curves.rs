@@ -14,7 +14,6 @@ use crate::scale::RunScale;
 use crate::split::{prepare_split, seed_and_pool, PreparedSplit, SeedPool};
 use alba_active::{run_session, MethodCurves, SessionConfig, SessionResult, Strategy};
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -123,18 +122,15 @@ pub(crate) struct SplitInstance {
 
 /// Prepares `n_splits` stratified splits of a system dataset.
 pub(crate) fn prepare_splits(data: &SystemData, scale: &RunScale) -> Vec<SplitInstance> {
-    (0..scale.n_splits)
-        .into_par_iter()
-        .map(|rep| {
-            let split = prepare_split(
-                &data.dataset,
-                &scale.split,
-                scale.seed ^ ((rep as u64 + 1) * 0x9E37_79B9),
-            );
-            let seed_pool = seed_and_pool(&split.train, None, scale.seed ^ (rep as u64 + 101));
-            SplitInstance { split, seed_pool }
-        })
-        .collect()
+    alba_par::map(alba_par::available_cores(), 0..scale.n_splits, |rep| {
+        let split = prepare_split(
+            &data.dataset,
+            &scale.split,
+            scale.seed ^ ((rep as u64 + 1) * 0x9E37_79B9),
+        );
+        let seed_pool = seed_and_pool(&split.train, None, scale.seed ^ (rep as u64 + 101));
+        SplitInstance { split, seed_pool }
+    })
 }
 
 /// Runs the full curves experiment.
@@ -168,9 +164,8 @@ pub fn run_curves(cfg: &CurvesConfig) -> CurvesResult {
     }
 
     let sessions_span = obs.span("exp_stage_ns", &[("stage", "al_sessions")]);
-    let results: Vec<(String, SessionResult)> = jobs
-        .par_iter()
-        .map(|&(job, rep, r)| {
+    let results: Vec<(String, SessionResult)> =
+        alba_par::map(alba_par::available_cores(), &jobs, |&(job, rep, r)| {
             let inst = &splits[rep];
             let seed = cfg.scale.seed ^ ((rep as u64) << 16) ^ ((r as u64) << 32) ^ 0xF00D;
             match job {
@@ -199,8 +194,7 @@ pub fn run_curves(cfg: &CurvesConfig) -> CurvesResult {
                     ("proctor".to_string(), session)
                 }
             }
-        })
-        .collect();
+        });
     sessions_span.finish();
 
     let mut sessions: BTreeMap<String, Vec<SessionResult>> = BTreeMap::new();

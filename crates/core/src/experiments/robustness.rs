@@ -15,7 +15,6 @@ use alba_ml::{mean_and_ci95, Scores};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the robustness experiment.
@@ -101,9 +100,8 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessResult {
         .flat_map(|c| cfg.training_app_counts.iter().map(move |&k| (c, k)))
         .collect();
 
-    let measurements: Vec<(usize, Scores)> = jobs
-        .par_iter()
-        .map(|&(combo, k)| {
+    let measurements: Vec<(usize, Scores)> =
+        alba_par::map(alba_par::available_cores(), &jobs, |&(combo, k)| {
             let combo_seed = cfg.scale.seed ^ 0xF17 ^ ((combo as u64) << 10);
             let mut rng = StdRng::seed_from_u64(combo_seed);
             let mut shuffled = apps.clone();
@@ -122,8 +120,7 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessResult {
             model.fit(&prepared.train.x, &prepared.train.y, prepared.train.n_classes());
             let pred = model.predict(&prepared.test.x);
             (k, Scores::compute(&prepared.test.y, &pred, prepared.train.n_classes()))
-        })
-        .collect();
+        });
 
     let points = cfg
         .training_app_counts
@@ -157,17 +154,14 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessResult {
 pub fn cv_all_apps_reference(data: &SystemData, scale: &RunScale) -> Scores {
     let splits = crate::experiments::curves::prepare_splits(data, scale);
     let spec = scale.model(true);
-    let all: Vec<Scores> = splits
-        .par_iter()
-        .enumerate()
-        .map(|(i, inst)| {
+    let all: Vec<Scores> =
+        alba_par::map(alba_par::available_cores(), splits.iter().enumerate(), |(i, inst)| {
             let train = &inst.split.train;
             let mut model = spec.with_seed(scale.seed ^ (i as u64 + 31)).build();
             model.fit(&train.x, &train.y, train.n_classes());
             let pred = model.predict(&inst.split.test.x);
             Scores::compute(&inst.split.test.y, &pred, train.n_classes())
-        })
-        .collect();
+        });
     let n = all.len() as f64;
     Scores {
         f1: all.iter().map(|s| s.f1).sum::<f64>() / n,

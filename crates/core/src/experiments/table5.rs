@@ -14,7 +14,6 @@ use crate::scale::RunScale;
 use alba_active::MethodCurves;
 use alba_features::{drop_degenerate_features, select_top_k, MinMaxScaler};
 use alba_ml::{cross_val_f1, Scores};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One Table V row.
@@ -101,18 +100,15 @@ impl Table5 {
 pub fn pool_ceiling(data: &SystemData, scale: &RunScale, volta: bool) -> (f64, usize) {
     let splits = prepare_splits(data, scale);
     let spec = scale.model(volta);
-    let scores: Vec<(f64, usize)> = splits
-        .par_iter()
-        .enumerate()
-        .map(|(i, inst)| {
+    let scores: Vec<(f64, usize)> =
+        alba_par::map(alba_par::available_cores(), splits.iter().enumerate(), |(i, inst)| {
             let mut model = spec.with_seed(scale.seed ^ (i as u64 + 77)).build();
             let train = &inst.split.train;
             model.fit(&train.x, &train.y, train.n_classes());
             let pred = model.predict(&inst.split.test.x);
             let s = Scores::compute(&inst.split.test.y, &pred, train.n_classes());
             (s.f1, train.len())
-        })
-        .collect();
+        });
     let mean_f1 = scores.iter().map(|s| s.0).sum::<f64>() / scores.len() as f64;
     let mean_size = scores.iter().map(|s| s.1).sum::<usize>() / scores.len();
     (mean_f1, mean_size)

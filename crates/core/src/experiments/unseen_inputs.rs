@@ -13,7 +13,6 @@ use crate::scale::RunScale;
 use crate::split::{prepare_split, seed_and_pool_filtered};
 use alba_active::{run_session, MethodCurves, SessionConfig, SessionResult, Strategy};
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -93,9 +92,8 @@ pub fn run_unseen_inputs(cfg: &UnseenInputsConfig) -> UnseenInputsResult {
         .flat_map(|&d| cfg.strategies.iter().map(move |&s| (d, s)))
         .collect();
 
-    let sessions: Vec<(String, SessionResult)> = jobs
-        .par_iter()
-        .map(|&(deck, strategy)| {
+    let sessions: Vec<(String, SessionResult)> =
+        alba_par::map(alba_par::available_cores(), &jobs, |&(deck, strategy)| {
             let deck_seed = cfg.scale.seed ^ 0xDEC ^ ((deck as u64) << 12);
             let split = prepare_split(&data.dataset, &cfg.scale.split, deck_seed);
             // Seed labels only from decks other than the held-out one.
@@ -117,8 +115,7 @@ pub fn run_unseen_inputs(cfg: &UnseenInputsConfig) -> UnseenInputsResult {
                 },
             );
             (strategy.name().to_string(), session)
-        })
-        .collect();
+        });
 
     let mut by_strategy: BTreeMap<String, Vec<SessionResult>> = BTreeMap::new();
     for (name, s) in sessions {

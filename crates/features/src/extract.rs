@@ -3,7 +3,6 @@
 
 use alba_data::{Dataset, LabelEncoder, Matrix};
 use alba_telemetry::NodeTelemetry;
-use rayon::prelude::*;
 
 use crate::preprocess::{preprocess, PreprocessConfig};
 
@@ -74,25 +73,22 @@ pub fn extract_features(
     let feature_names: Vec<String> =
         metric_defs.iter().flat_map(|d| extractor.feature_names(&d.name)).collect();
 
-    let rows: Vec<Vec<f64>> = samples
-        .par_iter()
-        .map(|sample| {
-            assert_eq!(
-                sample.series.n_metrics(),
-                n_metrics,
-                "sample {} has a different metric catalog",
-                sample.meta.describe()
-            );
-            let mut series = sample.series.clone();
-            preprocess(&mut series, pre);
-            let mut row = Vec::with_capacity(width);
-            for m in 0..n_metrics {
-                extractor.extract(series.metric(m), &mut row);
-            }
-            debug_assert_eq!(row.len(), width);
-            row
-        })
-        .collect();
+    let rows: Vec<Vec<f64>> = alba_par::map(alba_par::available_cores(), samples, |sample| {
+        assert_eq!(
+            sample.series.n_metrics(),
+            n_metrics,
+            "sample {} has a different metric catalog",
+            sample.meta.describe()
+        );
+        let mut series = sample.series.clone();
+        preprocess(&mut series, pre);
+        let mut row = Vec::with_capacity(width);
+        for m in 0..n_metrics {
+            extractor.extract(series.metric(m), &mut row);
+        }
+        debug_assert_eq!(row.len(), width);
+        row
+    });
 
     let y: Vec<usize> = samples
         .iter()

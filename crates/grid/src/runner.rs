@@ -16,6 +16,10 @@
 //! 32 workers, with a cold or warm store — which is what the
 //! worker-invariance and kill-and-resume integration tests pin.
 //!
+//! Lanes run on `alba_par::map`, one item per worker. Fan-outs inside a
+//! cell (campaign generation, forest fit, CV) then run inline on that
+//! worker, so each cell's cost is its own thread's time.
+//!
 //! ## Resumability
 //!
 //! When a store is attached, each completed cell is persisted *before*
@@ -35,6 +39,7 @@ use alba_trace::{Lane, Tracer};
 use albadross::experiments::CurvesResult;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How a grid run executes.
 pub struct RunOptions {
@@ -141,22 +146,12 @@ pub fn run_grid(spec: &GridSpec, opts: &RunOptions) -> Result<GridOutcome, GridE
     }
 
     let computed = misses.len();
-    let outputs: Vec<Result<Vec<(usize, CellResult)>, GridError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = lanes
-            .iter()
-            .enumerate()
-            .map(|(w, lane)| {
-                let store = opts.store.as_ref();
-                scope.spawn(move || worker_loop(w, lane, store, obs, tracer))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(GridError::Worker("worker thread panicked".to_string())),
-            })
-            .collect()
+    // One `alba_par::map` item per lane, so lane `w` runs on worker `w`
+    // and stops at its first error.
+    let store = opts.store.as_ref();
+    let outputs = alba_par::map(workers, lanes.iter().enumerate(), |(w, lane)| {
+        catch_unwind(AssertUnwindSafe(|| worker_loop(w, lane, store, obs, tracer)))
+            .unwrap_or_else(|_| Err(GridError::Worker("worker thread panicked".to_string())))
     });
     for out in outputs {
         for (idx, result) in out? {

@@ -9,7 +9,6 @@ use crate::spec::ModelSpec;
 use alba_data::{stratified_k_fold, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Mean macro-F1 of a spec under stratified k-fold cross-validation.
@@ -26,10 +25,10 @@ pub fn cross_val_f1(
 ) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let folds = stratified_k_fold(y, k, &mut rng);
-    let scores: Vec<f64> = folds
-        .par_iter()
-        .enumerate()
-        .map(|(fi, (train, valid))| {
+    let scores: Vec<f64> = alba_par::map(
+        alba_par::available_cores(),
+        folds.iter().enumerate(),
+        |(fi, (train, valid))| {
             let xt = x.select_rows(train);
             let yt: Vec<usize> = train.iter().map(|&i| y[i]).collect();
             let xv = x.select_rows(valid);
@@ -38,8 +37,8 @@ pub fn cross_val_f1(
             model.fit(&xt, &yt, n_classes);
             let pred = model.predict(&xv);
             Scores::compute(&yv, &pred, n_classes).f1
-        })
-        .collect();
+        },
+    );
     scores.iter().sum::<f64>() / scores.len().max(1) as f64
 }
 
@@ -70,13 +69,11 @@ impl GridSearch {
         seed: u64,
     ) -> Self {
         assert!(!grid.is_empty(), "empty grid");
-        let mut results: Vec<GridResult> = grid
-            .par_iter()
-            .map(|spec| GridResult {
+        let mut results: Vec<GridResult> =
+            alba_par::map(alba_par::available_cores(), grid, |spec| GridResult {
                 spec: spec.clone(),
                 cv_f1: cross_val_f1(spec, x, y, n_classes, k, seed),
-            })
-            .collect();
+            });
         results.sort_by(|a, b| b.cv_f1.total_cmp(&a.cv_f1));
         Self { results }
     }

@@ -1,19 +1,19 @@
 //! Bagged random forest (Table IV's `RF`, the paper's chosen model).
 //!
 //! Trees are fitted on bootstrap resamples with `sqrt`-feature subsetting
-//! and trained in parallel with rayon; `predict_proba` averages the leaf
-//! distributions of all trees (scikit-learn semantics). Inference runs in
-//! the calling thread: each tree adds its leaf distributions into one
-//! accumulator, in tree order, so no per-tree matrix is allocated and no
-//! thread is spawned — the serve path parallelises across `alba-par`
-//! shards instead, one level up.
+//! and trained in parallel with `alba_par::map` (inline when the fit itself
+//! runs on an `alba-par` worker, such as a grid lane); `predict_proba`
+//! averages the leaf distributions of all trees (scikit-learn semantics).
+//! Inference runs in the calling thread: each tree adds its leaf
+//! distributions into one accumulator, in tree order, so no per-tree
+//! matrix is allocated and no thread is spawned — the serve path
+//! parallelises across `alba-par` shards instead, one level up.
 
 use crate::model::Classifier;
 use crate::tree::{Criterion, DecisionTree, MaxFeatures, TreeParams};
 use alba_data::{bootstrap_indices, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Random-forest hyperparameters (Table IV search space).
@@ -74,30 +74,27 @@ impl Classifier for RandomForest {
         let mut seeder = StdRng::seed_from_u64(self.params.seed);
         let tree_seeds: Vec<u64> = (0..self.params.n_estimators).map(|_| seeder.gen()).collect();
 
-        self.trees = tree_seeds
-            .into_par_iter()
-            .map(|seed| {
-                let params = TreeParams {
-                    max_depth: self.params.max_depth,
-                    criterion: self.params.criterion,
-                    min_samples_split: 2,
-                    min_samples_leaf: 1,
-                    max_features: self.params.max_features,
-                    seed,
-                };
-                let mut tree = DecisionTree::new(params);
-                if self.params.bootstrap {
-                    let mut rng = StdRng::seed_from_u64(seed ^ 0xB007);
-                    let idx = bootstrap_indices(x.rows(), x.rows(), &mut rng);
-                    let xb = x.select_rows(&idx);
-                    let yb: Vec<usize> = idx.iter().map(|&i| y[i]).collect();
-                    tree.fit(&xb, &yb, n_classes);
-                } else {
-                    tree.fit(x, y, n_classes);
-                }
-                tree
-            })
-            .collect();
+        self.trees = alba_par::map(alba_par::available_cores(), tree_seeds, |seed| {
+            let params = TreeParams {
+                max_depth: self.params.max_depth,
+                criterion: self.params.criterion,
+                min_samples_split: 2,
+                min_samples_leaf: 1,
+                max_features: self.params.max_features,
+                seed,
+            };
+            let mut tree = DecisionTree::new(params);
+            if self.params.bootstrap {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xB007);
+                let idx = bootstrap_indices(x.rows(), x.rows(), &mut rng);
+                let xb = x.select_rows(&idx);
+                let yb: Vec<usize> = idx.iter().map(|&i| y[i]).collect();
+                tree.fit(&xb, &yb, n_classes);
+            } else {
+                tree.fit(x, y, n_classes);
+            }
+            tree
+        });
     }
 
     fn predict_proba(&self, x: &Matrix) -> Matrix {

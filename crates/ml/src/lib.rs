@@ -34,7 +34,7 @@ pub use linear::{LogRegParams, LogisticRegression, Penalty};
 pub use metrics::{mean_and_ci95, ConfusionMatrix, Scores};
 pub use mlp::{MlpClassifier, MlpParams};
 pub use model::{normalize_row, softmax_row, Classifier};
-pub use nn::{par_matmul, Activation, Dense, FeedForward, Optimizer};
+pub use nn::{Activation, Dense, FeedForward, Optimizer};
 pub use persist::{Diagnosis, DiagnosisModel, FittedModel};
 pub use spec::{table4_grid, ModelFamily, ModelSpec};
 pub use timed::Timed;

@@ -69,7 +69,7 @@ impl LogisticRegression {
     }
 
     fn logits(&self, x: &Matrix) -> Matrix {
-        let mut z = crate::nn::par_matmul(x, &self.w);
+        let mut z = x.matmul(&self.w);
         let k = self.n_classes;
         for (i, v) in z.as_mut_slice().iter_mut().enumerate() {
             *v += self.b[i % k];
@@ -104,7 +104,7 @@ impl Classifier for LogisticRegression {
                 let v = p.get(i, c);
                 p.set(i, c, v - 1.0);
             }
-            let mut gw = crate::nn::par_matmul(&xt, &p);
+            let mut gw = xt.matmul(&p);
             gw.map_inplace(|v| v / n as f64);
             let mut gb = vec![0.0; n_classes];
             for row in p.rows_iter() {

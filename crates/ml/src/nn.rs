@@ -7,7 +7,6 @@
 use alba_data::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Per-layer activation function.
@@ -64,26 +63,6 @@ impl Activation {
     }
 }
 
-/// Parallel (rayon) dense matmul: `a (n x k) * b (k x m)`.
-pub fn par_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul dimension mismatch");
-    let (n, m) = (a.rows(), b.cols());
-    let mut out = Matrix::zeros(n, m);
-    out.as_mut_slice().par_chunks_mut(m).enumerate().for_each(|(i, o_row)| {
-        let a_row = a.row(i);
-        for (k, &a_ik) in a_row.iter().enumerate() {
-            if a_ik == 0.0 {
-                continue;
-            }
-            let b_row = b.row(k);
-            for (j, &b_kj) in b_row.iter().enumerate() {
-                o_row[j] += a_ik * b_kj;
-            }
-        }
-    });
-    out
-}
-
 /// One dense layer (`inputs x outputs` weights plus bias).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Dense {
@@ -110,7 +89,7 @@ impl Dense {
 
     /// Forward pass: returns the activated output `(n x n_out)`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut z = par_matmul(x, &self.w);
+        let mut z = x.matmul(&self.w);
         let n_out = self.b.len();
         for (i, v) in z.as_mut_slice().iter_mut().enumerate() {
             *v = self.act.apply(*v + self.b[i % n_out]);
@@ -197,7 +176,7 @@ impl FeedForward {
         for (li, layer) in self.layers.iter().enumerate().rev() {
             let input = &acts[li];
             // delta currently holds dL/dz for this layer.
-            let gw = par_matmul(&input.transpose(), &delta);
+            let gw = input.transpose().matmul(&delta);
             let mut gw = gw;
             gw.map_inplace(|v| v / n);
             let n_out = layer.b.len();
@@ -213,7 +192,7 @@ impl FeedForward {
             grads.push(DenseGrad { w: gw, b: gb });
             if li > 0 {
                 // Propagate: dL/da_{l-1} = delta * W^T, then times act'.
-                let mut prev_delta = par_matmul(&delta, &layer.w.transpose());
+                let mut prev_delta = delta.matmul(&layer.w.transpose());
                 let prev_layer = &self.layers[li - 1];
                 let prev_act = &acts[li];
                 debug_assert_eq!(prev_act.rows(), prev_delta.rows());
@@ -355,13 +334,6 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_matmul_matches_serial() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let b = Matrix::from_rows(&[vec![7.0, 8.0], vec![9.0, 10.0], vec![11.0, 12.0]]);
-        assert_eq!(par_matmul(&a, &b), a.matmul(&b));
-    }
 
     #[test]
     fn forward_shapes() {

@@ -27,6 +27,12 @@
 //! and the job is resubmitted — the pool survives anything short of a
 //! process abort.
 //!
+//! [`map`] is the one-shot form of the same contract for setup and
+//! training fan-outs (campaign generation, extraction, forest fit,
+//! experiment drivers, grid lanes); nested inside a pool or `map`
+//! worker it runs inline, so parallelism stays at one level.
+//! [`threads_spawned`] counts every OS thread this crate starts.
+//!
 //! Observability: per-worker `par_worker_jobs_total` /
 //! `par_worker_busy_ns_total` counters and a `par_epoch_ns` histogram
 //! (epoch barrier wall time, on the registry clock) are recorded when
@@ -37,12 +43,96 @@
 
 #![warn(missing_docs)]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, SendError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use alba_obs::Obs;
+
+/// OS threads spawned by this crate since process start.
+static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on every thread this crate runs work on (pool and `map`
+    /// workers): a `map` called there runs inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Number of OS threads this crate has spawned in this process: pool
+/// workers (including respawns) plus every `map` worker.
+pub fn threads_spawned() -> u64 {
+    THREADS_SPAWNED.load(Ordering::Relaxed)
+}
+
+/// Cores available to this process (1 when unknown) — the worker count
+/// callers pass to [`map`] for a full-machine fan-out.
+pub fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Applies `f` to every item on up to `n_workers` scoped threads and
+/// returns the results in item order.
+///
+/// Item `i` runs on worker `i % n` (the [`Pool::run_epoch`] rule), each
+/// worker taking its items in order. The call runs inline on the caller
+/// when fewer than two workers would be used, or when the caller is
+/// itself a pool or `map` worker. A panicking item is re-raised on the
+/// caller after every worker has joined.
+pub fn map<T, R, F>(n_workers: usize, items: impl IntoIterator<Item = T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let items: Vec<T> = items.into_iter().collect();
+    let len = items.len();
+    let n = n_workers.min(len);
+    if n <= 1 || IN_WORKER.with(Cell::get) {
+        return items.into_iter().map(f).collect();
+    }
+    let mut lanes: Vec<Vec<T>> = (0..n).map(|_| Vec::with_capacity(len.div_ceil(n))).collect();
+    for (w, item) in (0..n).cycle().zip(items) {
+        if let Some(lane) = lanes.get_mut(w) {
+            lane.push(item);
+        }
+    }
+    THREADS_SPAWNED.fetch_add(n as u64, Ordering::Relaxed);
+    let f = &f;
+    let joined: Vec<std::thread::Result<Vec<R>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = lanes
+            .into_iter()
+            .map(|lane| {
+                scope.spawn(move || {
+                    IN_WORKER.with(|w| w.set(true));
+                    lane.into_iter().map(f).collect::<Vec<R>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut outs = Vec::with_capacity(n);
+    for lane in joined {
+        match lane {
+            Ok(results) => outs.push(results.into_iter()),
+            Err(payload) => resume_unwind(payload),
+        }
+    }
+    // Ordered merge: round k takes the k-th result of every lane, i.e.
+    // items k*n .. k*n+n; lanes only shorten towards the end.
+    let mut merged = Vec::with_capacity(len);
+    'rounds: loop {
+        for lane in &mut outs {
+            match lane.next() {
+                Some(r) => merged.push(r),
+                None => break 'rounds,
+            }
+        }
+    }
+    merged
+}
 
 /// What a worker receives on its private job queue.
 enum Msg<J> {
@@ -118,6 +208,7 @@ impl<J: Send + 'static, R: Send + 'static> Pool<J, R> {
         let job_fn = Arc::clone(&self.job_fn);
         let results = self.results_tx.clone();
         let obs = self.obs.clone();
+        THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
         let handle = std::thread::Builder::new()
             .name(format!("alba-par-w{w}"))
             .spawn(move || worker_loop(w, rx, results, job_fn, obs))
@@ -221,6 +312,7 @@ fn worker_loop<J, R>(
     job_fn: Arc<JobFn<J, R>>,
     obs: Obs,
 ) {
+    IN_WORKER.with(|flag| flag.set(true));
     let label = w.to_string();
     let jobs_c = obs.counter("par_worker_jobs_total", &[("worker", &label)]);
     let busy_c = obs.counter("par_worker_busy_ns_total", &[("worker", &label)]);
@@ -245,25 +337,57 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// The core determinism contract: results come back in slot order
-    /// at every worker count, even when early slots run slowest.
+    /// at every worker count, even when early slots run slowest — for
+    /// the pool and for `map` alike.
     #[test]
     fn merge_order_is_slot_order_at_any_worker_count() {
         let reference: Vec<usize> = (0..17).map(|i| i * i).collect();
+        // Early slots sleep longest: arrival order is roughly the
+        // reverse of slot order.
+        let job = |i: usize| {
+            std::thread::sleep(std::time::Duration::from_millis((17 - i as u64).min(8)));
+            i * i
+        };
         for n_workers in [1, 2, 4, 8] {
             let mut pool: Pool<usize, usize> =
-                Pool::new(n_workers, Obs::disabled(), |_w, i: usize| {
-                    // Early slots sleep longest: arrival order is
-                    // roughly the reverse of slot order.
-                    std::thread::sleep(std::time::Duration::from_millis((17 - i as u64).min(8)));
-                    i * i
-                });
+                Pool::new(n_workers, Obs::disabled(), move |_w, i: usize| job(i));
             let got: Vec<usize> = pool
                 .run_epoch((0..17).collect())
                 .into_iter()
                 .map(|r| r.expect("no job panicked"))
                 .collect();
-            assert_eq!(got, reference, "order broke at {n_workers} workers");
+            assert_eq!(got, reference, "pool order broke at {n_workers} workers");
+            assert_eq!(map(n_workers, 0..17, job), reference, "map order broke at {n_workers}");
         }
+    }
+
+    /// A panicking `map` item reaches the caller with its own payload,
+    /// only after the other workers finished; the next `map` works.
+    #[test]
+    fn map_reraises_a_panic_after_every_worker_joins() {
+        let panicking = std::sync::atomic::AtomicBool::new(false);
+        let finished = AtomicU64::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            map(2, 0..8usize, |i| {
+                if i == 1 {
+                    panicking.store(true, Ordering::SeqCst);
+                    panic!("boom");
+                }
+                if i % 2 == 0 {
+                    // Worker 0 finishes its items only after worker 1
+                    // has started to panic.
+                    while !panicking.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                }
+                i
+            })
+        }));
+        let payload = caught.expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        assert_eq!(finished.load(Ordering::SeqCst), 4, "worker 0 ran all its items first");
+        assert_eq!(map(2, 0..4usize, |i| i + 1), vec![1, 2, 3, 4]);
     }
 
     /// A panicking job surfaces as Err in its own slot; other slots

@@ -12,7 +12,6 @@
 use alba_data::MetricDef;
 use alba_telemetry::{generate_run, NodeTelemetry, Scale};
 use albadross::System;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Fleet simulation shape: which system, how many nodes, which seed.
@@ -102,14 +101,16 @@ impl ReplaySource {
             round += 1;
         }
 
-        let mut streams: Vec<NodeStream> = picked
-            .par_iter()
-            .flat_map_iter(|rc| {
+        let mut streams: Vec<NodeStream> =
+            alba_par::map(alba_par::available_cores(), &picked, |rc| {
                 let app = rc.app.name.clone();
                 generate_run(rc, &catalog, &campaign.signature, &campaign.noise)
                     .into_iter()
                     .map(move |telemetry| NodeStream { telemetry, app: app.clone() })
+                    .collect::<Vec<_>>()
             })
+            .into_iter()
+            .flatten()
             .collect();
         streams.truncate(cfg.n_nodes);
         let metrics = streams[0].telemetry.series.metrics.clone();

@@ -854,8 +854,8 @@ impl FleetService {
     /// workers than shards (the assignment is static, so extra workers
     /// would only idle).
     fn effective_workers(&self) -> usize {
-        let auto = std::thread::available_parallelism().map_or(1, usize::from);
-        let w = if self.cfg.n_workers == 0 { auto } else { self.cfg.n_workers };
+        let w =
+            if self.cfg.n_workers == 0 { alba_par::available_cores() } else { self.cfg.n_workers };
         w.min(self.shards.len().max(1)).max(1)
     }
 

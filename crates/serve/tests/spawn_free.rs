@@ -1,13 +1,12 @@
 //! Steady ticks spawn no threads: once the shard pool is up, diagnosis
 //! runs entirely on `alba-par`'s persistent workers — extraction and
-//! forest inference stay in the worker's own thread. The vendored rayon
-//! shim counts every OS thread it spawns, so a steady run must leave
-//! that count where warm-up left it.
+//! forest inference stay in the worker's own thread. `alba-par` counts
+//! every OS thread it spawns, so a steady run must leave that count
+//! where warm-up left it.
 //!
 //! This file holds a single test on purpose: integration-test binaries
 //! run their tests concurrently, and any other test fitting a forest
-//! alongside would move the process-wide count. (On a one-core host the
-//! shim never fans out, so the guard holds trivially there.)
+//! alongside would move the process-wide count.
 
 use alba_serve::{FleetService, ServeConfig};
 use alba_telemetry::Scale;
@@ -31,7 +30,7 @@ fn steady_ticks_spawn_no_threads() {
     assert_eq!(svc.run(WARMUP_TICKS), WARMUP_TICKS);
     let windows_before = svc.stats().windows;
     assert!(windows_before > 0, "warm-up must already diagnose windows");
-    let spawned_before = rayon::threads_spawned();
+    let spawned_before = alba_par::threads_spawned();
 
     assert_eq!(svc.run(STEADY_TICKS), STEADY_TICKS, "the replay must outlast the steady phase");
     let stats = svc.stats();
@@ -42,9 +41,5 @@ fn steady_ticks_spawn_no_threads() {
         stats.windows
     );
     assert!(stats.swap_ticks.is_empty(), "feedback is off: no refit, no swap");
-    assert_eq!(
-        rayon::threads_spawned(),
-        spawned_before,
-        "a steady tick spawned OS threads through the rayon shim"
-    );
+    assert_eq!(alba_par::threads_spawned(), spawned_before, "a steady tick spawned OS threads");
 }

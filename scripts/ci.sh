@@ -23,6 +23,21 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> one parallel runtime (only alba-par and alba-chaos spawn threads; no rayon)"
+# alba-par's pool and `map` are the workspace's only parallel runtime;
+# alba-chaos's fault injectors are the only other code that spawns.
+SPAWNS=$(grep -rnE 'thread::(scope|spawn|Builder)' crates/*/src | grep -vE '^crates/(par|chaos)/' || true)
+if [ -n "$SPAWNS" ]; then
+    echo "threads spawned outside alba-par/alba-chaos (use alba_par::map):" >&2
+    echo "$SPAWNS" >&2
+    exit 1
+fi
+RAYON=$(find . -name Cargo.toml -not -path '*/target/*' -exec grep -l 'rayon' {} + || true)
+if [ -n "$RAYON" ]; then
+    echo "Cargo.toml names rayon (use alba_par::map): $RAYON" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -49,9 +64,9 @@ if [ "$FULL" = "1" ]; then
     cargo test --workspace -q -- --ignored
 
     echo "==> ThreadSanitizer (--full: par + chaos suites under tsan)"
-    # The shard pool and chaos supervisor are the only crates that
-    # spawn threads; tsan re-runs their suites with full happens-before
-    # tracking. Needs nightly (-Zsanitizer) AND rust-src: std must be
+    # alba-par (shard pool and `map`) and the chaos supervisor are the
+    # only crates that spawn threads (guarded above); tsan re-runs
+    # their suites with full happens-before tracking. Needs nightly (-Zsanitizer) AND rust-src: std must be
     # rebuilt instrumented (-Zbuild-std), because a prebuilt std hides
     # Mutex/futex edges from tsan and every critical section then
     # reports as a false race. --target keeps the sanitizer flags off
