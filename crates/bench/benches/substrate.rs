@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the substrates: telemetry generation, feature
 //! extraction, selection, model training and query-strategy scoring.
 //!
-//! These quantify the cost of each pipeline stage; the per-table/figure
-//! benchmarks live in `experiments.rs` and the full-scale regeneration in
-//! the `repro` binary.
+//! These quantify the cost of each pipeline stage; the tables and figures
+//! are regenerated (and timed per stage) by the `repro` binary.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;

@@ -33,9 +33,9 @@
 //! byte-identical output), memoises completed cells in the `--store`
 //! (so a killed sweep resumes without recomputation), and writes
 //! `grid_<name>.json` plus a markdown leaderboard and a causal trace
-//! log to `--out`. The fig3/fig5 experiment ids themselves run through
-//! this grid runner (from `specs/fig3.json` / `specs/fig5.json`), so
-//! figure replays share the memo store and its resume semantics.
+//! log to `--out`. The fig3, fig5, fig6 and fig8 experiment ids
+//! themselves run through this grid runner (from `specs/fig<N>.json`),
+//! so figure replays share the memo store and its resume semantics.
 //!
 //! The whole run is observed through [`alba_obs`]: a wall-clock registry
 //! is installed globally, each experiment runs under an
@@ -43,9 +43,10 @@
 //! histograms (`exp_stage_ns`, `al_*_ns`, `model_*_ns`), and the
 //! collected timings are written to `stage_timings_<scale>.json`.
 
+use alba_grid::{FigureHoldout, FigureSpec, GridMode};
 use albadross::experiments::{
-    self, run_robustness, run_table4, run_unseen_apps, run_unseen_inputs, DrilldownResult,
-    RobustnessConfig, Table4Config, UnseenAppsConfig, UnseenInputsConfig,
+    self, run_robustness, run_table4, CurvesResult, DrilldownResult, RobustnessConfig,
+    Table4Config, UnseenAppsResult, UnseenInputsResult,
 };
 use albadross::prelude::*;
 use std::path::{Path, PathBuf};
@@ -275,7 +276,7 @@ fn save_text(dir: &Path, file: &str, text: &str) {
 }
 
 /// Runs one grid spec through [`alba_grid::run_grid`] and writes its
-/// artifacts. Shared by `--grid FILE` mode and the fig3/fig5 drivers.
+/// artifacts. Shared by `--grid FILE` mode and the figure experiments.
 fn run_grid_spec(
     spec: &alba_grid::GridSpec,
     args: &Args,
@@ -477,18 +478,24 @@ fn main() {
         println!("{}", experiments::render_setup_tables());
     }
 
-    // Fig. 3 / Fig. 5 replay through the grid runner: the committed
-    // specs expand to exactly the jobs `run_curves` would run (same
-    // order, same seeds), so the reconstructed curves are byte-identical
-    // to the monolithic driver's — with memoisation and resume for free.
-    let run_figure = |spec_file: &str| {
+    // The AL-session figures run through the grid runner from their
+    // committed specs, with memoisation and resume for free. Each
+    // returns the parsed figure and one curves result per panel.
+    let run_figure = |spec_file: &str| -> (FigureSpec, Vec<CurvesResult>) {
         let path = spec_path(spec_file);
         let src = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read grid spec {}: {e}", path.display()));
         let spec = alba_grid::GridSpec::parse(&src, Some(&scale))
             .unwrap_or_else(|e| panic!("grid spec {}: {e}", path.display()));
         let outcome = run_grid_spec(&spec, &args, &obs, alba_trace::Tracer::disabled());
-        outcome.curves.unwrap_or_else(|| panic!("figure spec {spec_file} yields curves"))
+        match spec.mode {
+            GridMode::Figure(fig) => (fig, outcome.panels),
+            GridMode::Sweep(_) => panic!("{spec_file} is not a figure spec"),
+        }
+    };
+    let one_panel = |spec_file: &str| {
+        let (_, panels) = run_figure(spec_file);
+        panels.into_iter().next().unwrap_or_else(|| panic!("{spec_file} yields no panel"))
     };
 
     // Keep the Fig.3 curves around: Fig. 4 and Table V reuse them.
@@ -496,7 +503,7 @@ fn main() {
     if wants("fig3") || wants("fig4") || wants("table5") {
         let _span = experiment("fig3");
         let t = Instant::now();
-        let res = run_figure("fig3.json");
+        let res = one_panel("fig3.json");
         println!("{}\n[fig3 in {:?}]\n", res.render(), t.elapsed());
         save_json(&args.out, &format!("fig3_{}", args.scale_name), &res.curves);
         save_svgs(&args.out, &format!("fig3_{}", args.scale_name), &res.curves);
@@ -515,7 +522,7 @@ fn main() {
     if wants("fig5") || wants("table5") {
         let _span = experiment("fig5");
         let t = Instant::now();
-        let res = run_figure("fig5.json");
+        let res = one_panel("fig5.json");
         println!("{}\n[fig5 in {:?}]\n", res.render(), t.elapsed());
         save_json(&args.out, &format!("fig5_{}", args.scale_name), &res.curves);
         save_svgs(&args.out, &format!("fig5_{}", args.scale_name), &res.curves);
@@ -541,7 +548,11 @@ fn main() {
     if wants("fig6") {
         let _span = experiment("fig6");
         let t = Instant::now();
-        let res = run_unseen_apps(&UnseenAppsConfig::paper(scale.clone()));
+        let (fig, panels) = run_figure("fig6.json");
+        let FigureHoldout::Apps { counts, .. } = &fig.holdout else {
+            panic!("fig6.json must hold out applications")
+        };
+        let res = UnseenAppsResult::from_panels(counts, panels);
         println!("{}\n[fig6 in {:?}]\n", res.render(), t.elapsed());
         save_json(&args.out, &format!("fig6_{}", args.scale_name), &res);
     }
@@ -557,7 +568,7 @@ fn main() {
     if wants("fig8") {
         let _span = experiment("fig8");
         let t = Instant::now();
-        let res = run_unseen_inputs(&UnseenInputsConfig::paper(scale.clone()));
+        let res = UnseenInputsResult::from_curves(one_panel("fig8.json"));
         println!("{}\n[fig8 in {:?}]\n", res.render(), t.elapsed());
         save_json(&args.out, &format!("fig8_{}", args.scale_name), &res);
     }

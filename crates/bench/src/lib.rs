@@ -6,7 +6,6 @@
 //! * `repro` — regenerates every table and figure of the paper
 //!   (`cargo run --release -p alba-bench --bin repro -- --help`),
 //! * `diag` — the simulator-calibration report,
-//! * `benches/substrate.rs` — micro-benchmarks of every pipeline stage,
-//! * `benches/experiments.rs` — one Criterion benchmark per paper artifact.
+//! * `benches/substrate.rs` — micro-benchmarks of every pipeline stage.
 
 #![warn(missing_docs)]

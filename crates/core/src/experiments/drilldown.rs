@@ -54,39 +54,3 @@ impl DrilldownResult {
         out
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::data::{FeatureMethod, System};
-    use crate::experiments::curves::{run_curves, CurvesConfig};
-    use crate::scale::RunScale;
-
-    #[test]
-    fn drilldown_from_smoke_curves() {
-        let curves = run_curves(&CurvesConfig {
-            system: System::Volta,
-            method: Some(FeatureMethod::Mvts),
-            scale: RunScale::smoke(5),
-            include_proctor: false,
-        });
-        let d = DrilldownResult::from_curves(&curves, "uncertainty", 10);
-        let total: f64 = d.drilldown.label_counts.values().sum();
-        assert!((total - 10.0).abs() < 1e-9, "mean counts must sum to first_n, got {total}");
-        let text = d.render();
-        assert!(text.contains("label"));
-        assert!(text.contains("application"));
-    }
-
-    #[test]
-    #[should_panic(expected = "no sessions")]
-    fn unknown_strategy_panics() {
-        let curves = run_curves(&CurvesConfig {
-            system: System::Volta,
-            method: Some(FeatureMethod::Mvts),
-            scale: RunScale::smoke(6),
-            include_proctor: false,
-        });
-        let _ = DrilldownResult::from_curves(&curves, "nonexistent", 10);
-    }
-}

@@ -152,15 +152,15 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessResult {
 /// Mean scores of the tuned model under repeated stratified splits with all
 /// applications present (the dashed reference lines of Fig. 7).
 pub fn cv_all_apps_reference(data: &SystemData, scale: &RunScale) -> Scores {
-    let splits = crate::experiments::curves::prepare_splits(data, scale);
+    let splits = crate::split::prepare_splits(data, scale);
     let spec = scale.model(true);
     let all: Vec<Scores> =
         alba_par::map(alba_par::available_cores(), splits.iter().enumerate(), |(i, inst)| {
-            let train = &inst.split.train;
+            let train = &inst.train;
             let mut model = spec.with_seed(scale.seed ^ (i as u64 + 31)).build();
             model.fit(&train.x, &train.y, train.n_classes());
-            let pred = model.predict(&inst.split.test.x);
-            Scores::compute(&inst.split.test.y, &pred, train.n_classes())
+            let pred = model.predict(&inst.test.x);
+            Scores::compute(&inst.test.y, &pred, train.n_classes())
         });
     let n = all.len() as f64;
     Scores {

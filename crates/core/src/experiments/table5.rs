@@ -8,9 +8,10 @@
 
 use crate::data::System;
 use crate::data::SystemData;
-use crate::experiments::curves::{prepare_splits, run_curves, CurvesConfig, CurvesResult};
+use crate::experiments::curves::CurvesResult;
 use crate::report::{fmt_opt, fmt_score, render_table};
 use crate::scale::RunScale;
+use crate::split::prepare_splits;
 use alba_active::MethodCurves;
 use alba_features::{drop_degenerate_features, select_top_k, MinMaxScaler};
 use alba_ml::{cross_val_f1, Scores};
@@ -103,10 +104,10 @@ pub fn pool_ceiling(data: &SystemData, scale: &RunScale, volta: bool) -> (f64, u
     let scores: Vec<(f64, usize)> =
         alba_par::map(alba_par::available_cores(), splits.iter().enumerate(), |(i, inst)| {
             let mut model = spec.with_seed(scale.seed ^ (i as u64 + 77)).build();
-            let train = &inst.split.train;
+            let train = &inst.train;
             model.fit(&train.x, &train.y, train.n_classes());
-            let pred = model.predict(&inst.split.test.x);
-            let s = Scores::compute(&inst.split.test.y, &pred, train.n_classes());
+            let pred = model.predict(&inst.test.x);
+            let s = Scores::compute(&inst.test.y, &pred, train.n_classes());
             (s.f1, train.len())
         });
     let mean_f1 = scores.iter().map(|s| s.0).sum::<f64>() / scores.len() as f64;
@@ -151,23 +152,6 @@ pub fn table5_row(curves: &CurvesResult, scale: &RunScale) -> Table5Row {
         cv_f1,
         full_size,
     }
-}
-
-/// Runs the full Table V (both systems, paper-best feature methods).
-pub fn run_table5(scale: &RunScale, include_proctor: bool) -> Table5 {
-    let rows = [System::Volta, System::Eclipse]
-        .iter()
-        .map(|&system| {
-            let curves = run_curves(&CurvesConfig {
-                system,
-                method: None,
-                scale: scale.clone(),
-                include_proctor,
-            });
-            table5_row(&curves, scale)
-        })
-        .collect();
-    Table5 { rows }
 }
 
 #[cfg(test)]

@@ -8,20 +8,28 @@
 //! (Fig. 1): telemetry campaigns ([`alba_telemetry`]) → statistical feature
 //! extraction and chi-square selection ([`alba_features`]) → supervised
 //! models ([`alba_ml`]) → pool-based active learning ([`alba_active`]) —
-//! plus the Proctor semi-supervised baseline and one experiment driver per
-//! table and figure of the evaluation.
+//! plus the Proctor semi-supervised baseline, the result types of every
+//! table and figure of the evaluation, and drivers for the ones that are
+//! not AL-session grids. Figs. 3, 5, 6 and 8 run as `alba-grid` figure
+//! specs (`repro --exp fig3`).
 //!
 //! ```no_run
 //! use albadross::prelude::*;
 //!
-//! // Reproduce Fig. 3 (Volta) at reduced scale:
-//! let result = run_curves(&CurvesConfig {
-//!     system: System::Volta,
-//!     method: None, // Table V best (TSFRESH on Volta)
-//!     scale: RunScale::default_scale(42),
-//!     include_proctor: true,
-//! });
-//! println!("{}", result.render());
+//! // One Fig. 3-style session (Volta, uncertainty sampling) at reduced scale:
+//! let scale = RunScale::default_scale(42);
+//! let data = SystemData::generate_best(System::Volta, scale.campaign, scale.seed);
+//! let split = prepare_split(&data.dataset, &scale.split, scale.seed);
+//! let sp = seed_and_pool(&split.train, None, scale.seed);
+//! let cfg = SessionConfig {
+//!     strategy: Strategy::Uncertainty,
+//!     budget: scale.budget,
+//!     target_f1: None,
+//!     seed: scale.seed,
+//! };
+//! let session = run_session(&scale.model(true), &sp.seed_set, &sp.pool, &split.test, &cfg);
+//! let last = session.records.last().map_or(session.initial_scores.f1, |r| r.scores.f1);
+//! println!("F1 {:.3} -> {last:.3}", session.initial_scores.f1);
 //! ```
 
 #![warn(missing_docs)]
@@ -49,9 +57,7 @@ pub use split::{
 pub mod prelude {
     pub use crate::data::{FeatureMethod, System, SystemData};
     pub use crate::experiments::{
-        run_curves, run_robustness, run_table4, run_table5, run_unseen_apps, run_unseen_inputs,
-        CurvesConfig, DrilldownResult, RobustnessConfig, Table4Config, UnseenAppsConfig,
-        UnseenInputsConfig,
+        run_robustness, run_table4, DrilldownResult, RobustnessConfig, Table4Config,
     };
     pub use crate::proctor::{run_proctor_session, ProctorConfig};
     pub use crate::scale::RunScale;

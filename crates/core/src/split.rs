@@ -75,6 +75,18 @@ pub fn prepare_split(full: &Dataset, cfg: &SplitConfig, seed: u64) -> PreparedSp
     prepare_pre_split(&train_raw, &test_raw, cfg)
 }
 
+/// The `scale.n_splits` stratified splits that the no-AL measurements
+/// (Table V ceilings, Fig. 7) average over; split `rep` uses the seed
+/// of `alba-grid`'s stratified figure split `rep`.
+pub(crate) fn prepare_splits(
+    data: &crate::data::SystemData,
+    scale: &crate::scale::RunScale,
+) -> Vec<PreparedSplit> {
+    alba_par::map(alba_par::available_cores(), 0..scale.n_splits, |rep| {
+        prepare_split(&data.dataset, &scale.split, scale.seed ^ ((rep as u64 + 1) * 0x9E37_79B9))
+    })
+}
+
 /// Steps 2–4 for an externally constructed train/test pair (used by the
 /// robustness experiments, which split by application or input deck).
 pub fn prepare_pre_split(

@@ -17,10 +17,13 @@ use alba_active::{flip_labels, run_batched_session, SessionConfig, SessionResult
 use alba_ml::ModelSpec;
 use alba_telemetry::Scale;
 use albadross::{
-    prepare_split, run_proctor_session, seed_and_pool, FeatureMethod, ProctorConfig, SeedPool,
-    SplitConfig, System, SystemData,
+    prepare_split, run_proctor_session, seed_and_pool, seed_and_pool_filtered, FeatureMethod,
+    ProctorConfig, SeedPool, SplitConfig, System, SystemData,
 };
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -51,6 +54,28 @@ pub enum CellTask {
     },
 }
 
+/// The split policy: which samples may seed the labeled set and which
+/// form the test set. The unlabeled pool is always every other training
+/// sample (the full production pool).
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub enum Holdout {
+    /// Seed from every application; test on the whole stratified test
+    /// side (Figs. 3 and 5).
+    Stratified,
+    /// Previously unseen applications (Fig. 6): seed only from the first
+    /// `n_seen` applications after a shuffle seeded with `shuffle_seed`;
+    /// test only on the other applications.
+    Apps {
+        /// Applications the seed set may draw from.
+        n_seen: usize,
+        /// Seed of the application shuffle.
+        shuffle_seed: u64,
+    },
+    /// Previously unseen input deck (Fig. 8): seed from every other
+    /// deck; test only on this one.
+    Deck(usize),
+}
+
 /// The canonical, content-addressed description of one grid cell.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CellSpec {
@@ -70,6 +95,8 @@ pub struct CellSpec {
     pub split_seed: u64,
     /// Seed-set/pool decomposition seed.
     pub pool_seed: u64,
+    /// Which samples seed the labeled set and which are tested on.
+    pub holdout: Holdout,
     /// Session seed (strategy tie-breaks + model).
     pub session_seed: u64,
     /// Fraction (percent) of pool labels flipped before the session.
@@ -143,6 +170,7 @@ struct SplitIdentity {
     split: SplitConfig,
     split_seed: u64,
     pool_seed: u64,
+    holdout: Holdout,
     contamination_pct: f64,
     noise_seed: u64,
 }
@@ -172,6 +200,7 @@ fn cached_split(spec: &CellSpec, data: &SystemData) -> Arc<SplitInstance> {
         split: spec.split,
         split_seed: spec.split_seed,
         pool_seed: spec.pool_seed,
+        holdout: spec.holdout,
         contamination_pct: spec.contamination_pct,
         noise_seed: spec.noise_seed,
     };
@@ -180,11 +209,29 @@ fn cached_split(spec: &CellSpec, data: &SystemData) -> Arc<SplitInstance> {
         return hit;
     }
     let split = prepare_split(&data.dataset, &spec.split, spec.split_seed);
-    let mut seed_pool = seed_and_pool(&split.train, None, spec.pool_seed);
+    let (mut seed_pool, test) = match spec.holdout {
+        Holdout::Stratified => (seed_and_pool(&split.train, None, spec.pool_seed), split.test),
+        Holdout::Apps { n_seen, shuffle_seed } => {
+            let mut apps = data.dataset.applications();
+            assert!(n_seen < apps.len(), "need at least one held-out application");
+            apps.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
+            apps.truncate(n_seen);
+            let seed_pool = seed_and_pool(&split.train, Some(&apps), spec.pool_seed);
+            let test_idx = split.test.indices_where(|m, _| !apps.contains(&m.app));
+            (seed_pool, split.test.select(&test_idx))
+        }
+        Holdout::Deck(deck) => {
+            let seed_pool =
+                seed_and_pool_filtered(&split.train, |m| m.input_deck != deck, spec.pool_seed);
+            let test_idx = split.test.indices_where(|m, _| m.input_deck == deck);
+            (seed_pool, split.test.select(&test_idx))
+        }
+    };
+    assert!(!test.is_empty(), "{:?} leaves no test samples", spec.holdout);
     let n_classes = seed_pool.pool.n_classes();
     let labels_flipped =
         flip_labels(&mut seed_pool.pool.y, n_classes, spec.contamination_pct, spec.noise_seed);
-    let inst = Arc::new(SplitInstance { test: split.test, seed_pool, labels_flipped });
+    let inst = Arc::new(SplitInstance { test, seed_pool, labels_flipped });
     let mut guard = SPLIT_CACHE.lock();
     let map = guard.get_or_insert_with(BTreeMap::new);
     if map.len() >= SPLIT_CACHE_CAP {
@@ -245,6 +292,7 @@ mod tests {
             split: scale.split,
             split_seed: 3 ^ 0x9E37_79B9,
             pool_seed: 3 ^ 101,
+            holdout: Holdout::Stratified,
             session_seed,
             contamination_pct: 0.0,
             noise_seed: 0,
@@ -267,6 +315,9 @@ mod tests {
         let mut c = smoke_spec(7);
         c.rev = CELL_REV + 1;
         assert_ne!(a.key(), c.key(), "rev bump invalidates old entries");
+        let mut d = smoke_spec(7);
+        d.holdout = Holdout::Deck(0);
+        assert_ne!(a.key(), d.key(), "the split policy is part of the cell");
     }
 
     #[test]
@@ -285,6 +336,29 @@ mod tests {
         let parsed: CellResult = serde_json::from_str(&j1).unwrap();
         let j3 = serde_json::to_string(&parsed).unwrap();
         assert_eq!(j1, j3, "JSON round-trip must be bit-exact");
+    }
+
+    #[test]
+    fn holdout_changes_the_split_under_equal_seeds() {
+        let stratified = run_cell(&smoke_spec(7));
+        let mut deck = smoke_spec(7);
+        deck.holdout = Holdout::Deck(1);
+        let held_out = run_cell(&deck);
+        // Same split and pool seeds: only the holdout tells the cached
+        // splits apart, and deck 1's test side is a strict subset.
+        assert_ne!(
+            serde_json::to_string(&stratified.session).unwrap(),
+            serde_json::to_string(&held_out.session).unwrap(),
+            "a held-out deck must not reuse the stratified split"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves no test samples")]
+    fn a_missing_deck_is_rejected() {
+        let mut spec = smoke_spec(7);
+        spec.holdout = Holdout::Deck(7);
+        run_cell(&spec);
     }
 
     #[test]

@@ -183,7 +183,7 @@ pub fn render_markdown(entries: &[LeaderboardEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{CellSpec, CellTask, CELL_REV};
+    use crate::cell::{CellSpec, CellTask, Holdout, CELL_REV};
     use alba_active::{QueryRecord, SessionResult, Strategy};
     use alba_ml::{ModelFamily, ModelSpec, Scores};
     use alba_telemetry::Scale;
@@ -203,6 +203,7 @@ mod tests {
             split: SplitConfig { train_fraction: 0.5, top_k_features: 10 },
             split_seed: pair_id,
             pool_seed: pair_id,
+            holdout: Holdout::Stratified,
             session_seed: idx as u64,
             contamination_pct: 0.0,
             noise_seed: 0,
@@ -232,7 +233,7 @@ mod tests {
             class_names: vec!["healthy".into()],
             session,
         };
-        (GridCell { idx, pipeline: pipeline.to_string(), pair_id, spec }, result)
+        (GridCell { idx, pipeline: pipeline.to_string(), panel: 0, pair_id, spec }, result)
     }
 
     fn board(rows: &[(&str, u64, f64)]) -> Vec<LeaderboardEntry> {

@@ -20,8 +20,8 @@ pub mod runner;
 pub mod spec;
 pub mod stats;
 
-pub use cell::{run_cell, CellResult, CellSpec, CellTask, CELL_REV};
+pub use cell::{run_cell, CellResult, CellSpec, CellTask, Holdout, CELL_REV};
 pub use error::GridError;
 pub use leaderboard::{build_leaderboard, render_markdown, LeaderboardEntry};
 pub use runner::{run_grid, GridOutcome, GridReport, GridStats, RunOptions};
-pub use spec::{FigureSpec, GridCell, GridMode, GridSpec, SweepSpec};
+pub use spec::{FigureHoldout, FigureSpec, GridCell, GridMode, GridSpec, SweepSpec};

@@ -31,8 +31,8 @@
 use crate::cell::{run_cell, CellResult};
 use crate::error::GridError;
 use crate::leaderboard::{build_leaderboard, render_markdown, LeaderboardEntry};
-use crate::spec::{GridCell, GridMode, GridSpec};
-use alba_active::{MethodCurves, SessionResult, Strategy};
+use crate::spec::{FigureSpec, GridCell, GridMode, GridSpec};
+use alba_active::{MethodCurves, SessionResult};
 use alba_obs::{Obs, Value};
 use alba_store::TelemetryStore;
 use alba_trace::{Lane, Tracer};
@@ -95,10 +95,9 @@ pub struct GridOutcome {
     pub leaderboard_md: String,
     /// Run counters.
     pub stats: GridStats,
-    /// Figure mode only: the reconstructed `CurvesResult`, byte-identical
-    /// to what the monolithic `run_curves` driver returns for the same
-    /// sizing.
-    pub curves: Option<CurvesResult>,
+    /// Figure mode: one `CurvesResult` per panel, in panel order.
+    /// Empty for sweeps.
+    pub panels: Vec<CurvesResult>,
 }
 
 /// Runs a grid to completion. See the module docs for the determinism
@@ -182,9 +181,9 @@ pub fn run_grid(spec: &GridSpec, opts: &RunOptions) -> Result<GridOutcome, GridE
 
     let leaderboard = build_leaderboard(&cells, &results);
     let leaderboard_md = render_markdown(&leaderboard);
-    let curves = match &spec.mode {
-        GridMode::Figure(fig) => Some(reconstruct_curves(fig, &cells, &results)),
-        GridMode::Sweep(_) => None,
+    let panels = match &spec.mode {
+        GridMode::Figure(fig) => reconstruct_panels(fig, &cells, &results),
+        GridMode::Sweep(_) => Vec::new(),
     };
     let report = GridReport {
         name: spec.name.clone(),
@@ -199,7 +198,7 @@ pub fn run_grid(spec: &GridSpec, opts: &RunOptions) -> Result<GridOutcome, GridE
         json,
         leaderboard_md,
         stats: GridStats { cells: cells.len(), memo_hits, computed },
-        curves,
+        panels,
     })
 }
 
@@ -241,47 +240,55 @@ fn worker_loop(
     Ok(out)
 }
 
-/// Rebuilds the monolithic driver's `CurvesResult` from figure-mode
-/// cells: sessions regroup by pipeline in expansion order (= the job
-/// order `run_curves` uses), curves aggregate in its display order.
-fn reconstruct_curves(
-    fig: &crate::spec::FigureSpec,
+/// Rebuilds one `CurvesResult` per figure panel from the cells'
+/// display labels alone: sessions group by `pipeline` in expansion
+/// order, curves follow each pipeline's first appearance, and each
+/// split (`pair_id`) counts its seed-set size once.
+fn reconstruct_panels(
+    fig: &FigureSpec,
     cells: &[GridCell],
     results: &[CellResult],
-) -> CurvesResult {
-    let mut sessions: BTreeMap<String, Vec<SessionResult>> = BTreeMap::new();
-    for (cell, result) in cells.iter().zip(results) {
-        sessions.entry(cell.pipeline.clone()).or_default().push(result.session.clone());
-    }
-    let mut order: Vec<String> = Strategy::ALL.iter().map(|s| s.name().to_string()).collect();
-    if fig.include_proctor {
-        order.push("proctor".to_string());
-    }
-    let curves: Vec<MethodCurves> = order
-        .iter()
-        .filter_map(|name| sessions.get(name).map(|s| MethodCurves::from_sessions(name, s)))
-        .collect();
-
-    // One seed-set size per split: the first cell of each pair shares
-    // its split with the rest.
-    let mut seen: Vec<u64> = Vec::new();
-    let mut seed_sum = 0.0f64;
-    for (cell, result) in cells.iter().zip(results) {
-        if !seen.contains(&cell.pair_id) {
-            seen.push(cell.pair_id);
-            seed_sum += result.seed_count as f64;
-        }
-    }
-    let mean_seed_count = if seen.is_empty() { 0.0 } else { seed_sum / seen.len() as f64 };
-    let class_names = results.first().map(|r| r.class_names.clone()).unwrap_or_default();
-    CurvesResult {
-        system: fig.system,
-        method: fig.method.unwrap_or_else(|| fig.system.best_feature_method()),
-        curves,
-        sessions,
-        mean_seed_count,
-        class_names,
-    }
+) -> Vec<CurvesResult> {
+    let n_panels = cells.iter().map(|c| c.panel + 1).max().unwrap_or(0);
+    (0..n_panels)
+        .map(|panel| {
+            let members: Vec<(&GridCell, &CellResult)> =
+                cells.iter().zip(results).filter(|(c, _)| c.panel == panel).collect();
+            let mut order: Vec<&str> = Vec::new();
+            let mut sessions: BTreeMap<String, Vec<SessionResult>> = BTreeMap::new();
+            let mut splits: Vec<u64> = Vec::new();
+            let mut seed_sum = 0.0f64;
+            for &(cell, result) in &members {
+                if !order.contains(&cell.pipeline.as_str()) {
+                    order.push(&cell.pipeline);
+                }
+                sessions.entry(cell.pipeline.clone()).or_default().push(result.session.clone());
+                if !splits.contains(&cell.pair_id) {
+                    splits.push(cell.pair_id);
+                    seed_sum += result.seed_count as f64;
+                }
+            }
+            let curves = order
+                .iter()
+                .filter_map(|&name| {
+                    sessions.get(name).map(|s| MethodCurves::from_sessions(name, s))
+                })
+                .collect();
+            let mean_seed_count =
+                if splits.is_empty() { 0.0 } else { seed_sum / splits.len() as f64 };
+            CurvesResult {
+                system: fig.system,
+                method: fig.method.unwrap_or_else(|| fig.system.best_feature_method()),
+                curves,
+                sessions,
+                mean_seed_count,
+                class_names: members
+                    .first()
+                    .map(|(_, r)| r.class_names.clone())
+                    .unwrap_or_default(),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -306,7 +313,7 @@ mod tests {
         assert_eq!(out.stats.memo_hits, 0);
         assert_eq!(out.stats.computed, 4);
         assert_eq!(out.name, "unit");
-        assert!(out.curves.is_none());
+        assert!(out.panels.is_empty());
         let report: GridReport = serde_json::from_str(&out.json).unwrap();
         assert_eq!(report.cells.len(), 4);
         assert_eq!(report.leaderboard.len(), 2);
@@ -348,16 +355,5 @@ mod tests {
         assert_eq!(warm.stats.computed, 0);
         assert_eq!(warm.json, cold.json, "memo path must preserve bytes");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn figure_mode_reconstructs_curves() {
-        let fig = r#"{"name": "f", "mode": "figure", "system": "volta",
-                      "method": "mvts", "scale": "smoke", "seed": 3}"#;
-        let spec = GridSpec::parse(fig, None).unwrap();
-        let out = run_grid(&spec, &RunOptions::default()).unwrap();
-        let curves = out.curves.expect("figure mode yields curves");
-        assert_eq!(curves.curves.len(), 6, "5 strategies + proctor");
-        assert_eq!(out.stats.cells, 12);
     }
 }

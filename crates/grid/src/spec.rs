@@ -2,10 +2,11 @@
 //!
 //! Two modes share one file format (discriminated by `"mode"`):
 //!
-//! * **figure** — replays a paper figure (Fig. 3 / Fig. 5) through the
-//!   grid runner. Expansion mirrors `run_curves` *exactly*: same job
-//!   order, same seed derivations, so the merged sessions are
-//!   byte-identical to the monolithic driver's.
+//! * **figure** — replays a paper figure (Figs. 3, 5, 6 and 8) through
+//!   the grid runner: a list of splits under one split policy
+//!   ([`FigureHoldout`]), each running every listed strategy (and
+//!   optionally Proctor). The committed `results/fig*_smoke.json` files
+//!   pin its job order and seed derivations byte for byte.
 //! * **sweep** — a cross-product over pipelines (extractor × model ×
 //!   strategy × budget) and seeds, optionally with pool-label
 //!   contamination; feeds the paired-statistics leaderboard.
@@ -15,7 +16,7 @@
 //! keys are rejected so typos fail loudly instead of silently running
 //! the default grid.
 
-use crate::cell::{CellSpec, CellTask, CELL_REV};
+use crate::cell::{CellSpec, CellTask, Holdout, CELL_REV};
 use crate::error::GridError;
 use alba_active::Strategy;
 use alba_ml::{ModelFamily, ModelSpec};
@@ -27,16 +28,19 @@ use serde::Value;
 /// only has to differ from the other per-seed derivations).
 const NOISE_SEED_SALT: u64 = 0x5EED_D1CE;
 
-/// One expanded cell with its grid-level labels. `pipeline` and
-/// `pair_id` are deliberately *not* part of [`CellSpec`] (and thus not
-/// hashed): two grids labelling the same cell differently still share
-/// one memo entry.
+/// One expanded cell with its grid-level labels. `pipeline`, `panel`
+/// and `pair_id` are deliberately *not* part of [`CellSpec`] (and thus
+/// not hashed): two grids labelling the same cell differently still
+/// share one memo entry.
 #[derive(Clone, Debug)]
 pub struct GridCell {
     /// Position in expansion order (merge order).
     pub idx: usize,
     /// Leaderboard grouping key (e.g. `MVTS+RF+margin+b12`).
     pub pipeline: String,
+    /// Figure panel: figure mode builds one curves result per panel
+    /// (0 for sweeps and single-panel figures).
+    pub panel: usize,
     /// Pairing key for the paired tests: cells of different pipelines
     /// with equal `pair_id` share a split and are compared head-to-head.
     pub pair_id: u64,
@@ -51,10 +55,33 @@ pub struct FigureSpec {
     pub system: System,
     /// Feature method (`None` = the system's Table V best).
     pub method: Option<FeatureMethod>,
+    /// Query strategies, in display order (default: all five).
+    pub strategies: Vec<Strategy>,
     /// Whether to run the Proctor baseline.
     pub include_proctor: bool,
+    /// Split policy (default: stratified).
+    pub holdout: FigureHoldout,
     /// Sizing (from the spec file or a CLI override).
     pub scale: RunScale,
+}
+
+/// A figure's split policy: which splits it runs and how each one
+/// restricts the seed set and the test set ([`Holdout`]).
+#[derive(Clone, Debug, PartialEq)]
+pub enum FigureHoldout {
+    /// `scale.n_splits` stratified splits (Figs. 3 and 5).
+    Stratified,
+    /// Previously unseen applications (Fig. 6): one panel per count,
+    /// each running `combos` random sets of that many seen applications.
+    Apps {
+        /// Seen-application counts, one panel each.
+        counts: Vec<usize>,
+        /// Random application sets per count.
+        combos: usize,
+    },
+    /// Previously unseen input decks (Fig. 8): each deck held out in
+    /// turn, all in one panel.
+    Decks(Vec<usize>),
 }
 
 /// Sweep-mode parameters.
@@ -207,6 +234,28 @@ fn parse_strategy(s: &str) -> Result<Strategy, GridError> {
     })
 }
 
+fn parse_strategies(v: &Value) -> Result<Vec<Strategy>, GridError> {
+    str_list(v, "strategies")?.into_iter().map(parse_strategy).collect()
+}
+
+/// `{"apps": [2, 4], "combos": 5}` or `{"decks": [0, 1, 2]}`.
+fn parse_holdout(v: &Value) -> Result<FigureHoldout, GridError> {
+    let mut f = Fields::new(v)?;
+    let apps = f.get("apps").map(|v| num_list(v, "apps", as_usize)).transpose()?;
+    let combos = f.get("combos").map(|v| as_usize(v, "combos")).transpose()?;
+    let decks = f.get("decks").map(|v| num_list(v, "decks", as_usize)).transpose()?;
+    f.finish()?;
+    match (apps, combos, decks) {
+        (Some(counts), Some(combos), None) if combos > 0 && !counts.contains(&0) => {
+            Ok(FigureHoldout::Apps { counts, combos })
+        }
+        (None, None, Some(decks)) => Ok(FigureHoldout::Decks(decks)),
+        _ => Err(spec_err(
+            "holdout takes positive `apps` counts with a positive `combos`, or `decks`",
+        )),
+    }
+}
+
 fn parse_family(s: &str) -> Result<ModelFamily, GridError> {
     match s.to_ascii_lowercase().as_str() {
         "lr" => Ok(ModelFamily::Lr),
@@ -282,9 +331,17 @@ impl GridSpec {
             Some(v) => Some(parse_method(as_str(v, "method")?)?),
             None => None,
         };
+        let strategies = match f.get("strategies") {
+            Some(v) => parse_strategies(v)?,
+            None => Strategy::ALL.to_vec(),
+        };
         let include_proctor = match f.get("include_proctor") {
             Some(v) => as_bool(v, "include_proctor")?,
             None => true,
+        };
+        let holdout = match f.get("holdout") {
+            Some(v) => parse_holdout(v)?,
+            None => FigureHoldout::Stratified,
         };
         // The spec file's sizing; a CLI override wins wholesale (both
         // scale name and seed).
@@ -303,7 +360,14 @@ impl GridSpec {
         };
         Ok(GridSpec {
             name,
-            mode: GridMode::Figure(FigureSpec { system, method, include_proctor, scale }),
+            mode: GridMode::Figure(FigureSpec {
+                system,
+                method,
+                strategies,
+                include_proctor,
+                holdout,
+                scale,
+            }),
         })
     }
 
@@ -320,10 +384,7 @@ impl GridSpec {
                 .collect::<Result<Vec<_>, _>>()?,
             None => vec![system.best_feature_method()],
         };
-        let strategies = str_list(f.require("strategies")?, "strategies")?
-            .into_iter()
-            .map(parse_strategy)
-            .collect::<Result<Vec<_>, _>>()?;
+        let strategies = parse_strategies(f.require("strategies")?)?;
         let models = match f.get("models") {
             Some(v) => str_list(v, "models")?
                 .into_iter()
@@ -393,56 +454,117 @@ impl GridSpec {
     }
 }
 
-/// Figure expansion. Job order and every seed derivation mirror
-/// `run_curves` — the merged sessions must be byte-identical to the
-/// monolithic driver, which is what `tests/determinism.rs` pins.
+/// One split of a figure: the seeds and split policy its cells share.
+struct FigureSplit {
+    panel: usize,
+    split_seed: u64,
+    pool_seed: u64,
+    holdout: Holdout,
+    /// Session seed of the split's first repeat (and of Proctor).
+    session_seed: u64,
+}
+
+/// A figure's splits in merge order, and how many sessions each
+/// stochastic baseline runs per split. The committed
+/// `results/fig*_smoke.json` files pin every seed derivation.
+fn figure_splits(fig: &FigureSpec) -> (Vec<FigureSplit>, usize) {
+    let seed = fig.scale.seed;
+    match &fig.holdout {
+        FigureHoldout::Stratified => {
+            let splits = (0..fig.scale.n_splits as u64)
+                .map(|rep| FigureSplit {
+                    panel: 0,
+                    split_seed: seed ^ ((rep + 1) * 0x9E37_79B9),
+                    pool_seed: seed ^ (rep + 101),
+                    holdout: Holdout::Stratified,
+                    session_seed: seed ^ (rep << 16) ^ 0xF00D,
+                })
+                .collect();
+            (splits, fig.scale.baseline_repeats)
+        }
+        FigureHoldout::Apps { counts, combos } => {
+            let mut splits = Vec::new();
+            for (panel, &n_seen) in counts.iter().enumerate() {
+                for combo in 0..*combos as u64 {
+                    let combo_seed = seed ^ ((n_seen as u64) << 24) ^ (combo << 8);
+                    splits.push(FigureSplit {
+                        panel,
+                        split_seed: combo_seed ^ 0x5,
+                        pool_seed: combo_seed ^ 0x6,
+                        holdout: Holdout::Apps { n_seen, shuffle_seed: combo_seed },
+                        session_seed: combo_seed ^ 0x7,
+                    });
+                }
+            }
+            (splits, 1)
+        }
+        FigureHoldout::Decks(decks) => {
+            let splits = decks
+                .iter()
+                .map(|&deck| {
+                    let deck_seed = seed ^ 0xDEC ^ ((deck as u64) << 12);
+                    FigureSplit {
+                        panel: 0,
+                        split_seed: deck_seed,
+                        pool_seed: deck_seed ^ 0x2,
+                        holdout: Holdout::Deck(deck),
+                        session_seed: deck_seed ^ 0x3,
+                    }
+                })
+                .collect();
+            (splits, 1)
+        }
+    }
+}
+
+/// Figure expansion: split-major, then strategy (stochastic baselines
+/// repeated), then Proctor. The `pair_id` is the split's position.
 fn expand_figure(fig: &FigureSpec) -> Vec<GridCell> {
     let scale = &fig.scale;
     let method = fig.method.unwrap_or_else(|| fig.system.best_feature_method());
     let model = scale.model(fig.system == System::Volta);
-    let base = |rep: u64, session_seed: u64, task: CellTask| CellSpec {
-        rev: CELL_REV,
-        system: fig.system,
-        method,
-        campaign: scale.campaign,
-        data_seed: scale.seed,
-        split: scale.split,
-        split_seed: scale.seed ^ ((rep + 1) * 0x9E37_79B9),
-        pool_seed: scale.seed ^ (rep + 101),
-        session_seed,
-        contamination_pct: 0.0,
-        noise_seed: 0,
-        task,
-    };
+    let (splits, baseline_repeats) = figure_splits(fig);
     let mut cells = Vec::new();
-    for rep in 0..scale.n_splits as u64 {
-        for s in Strategy::ALL {
-            let repeats = if s.is_informative() { 1 } else { scale.baseline_repeats };
+    for (pair_id, split) in splits.iter().enumerate() {
+        let mut push = |pipeline: &str, session_seed: u64, task: CellTask| {
+            let spec = CellSpec {
+                rev: CELL_REV,
+                system: fig.system,
+                method,
+                campaign: scale.campaign,
+                data_seed: scale.seed,
+                split: scale.split,
+                split_seed: split.split_seed,
+                pool_seed: split.pool_seed,
+                holdout: split.holdout,
+                session_seed,
+                contamination_pct: 0.0,
+                noise_seed: 0,
+                task,
+            };
+            cells.push(GridCell {
+                idx: cells.len(),
+                pipeline: pipeline.to_string(),
+                panel: split.panel,
+                pair_id: pair_id as u64,
+                spec,
+            });
+        };
+        for &s in &fig.strategies {
+            let repeats = if s.is_informative() { 1 } else { baseline_repeats };
             for r in 0..repeats as u64 {
-                let session_seed = scale.seed ^ (rep << 16) ^ (r << 32) ^ 0xF00D;
                 let task = CellTask::Al {
                     strategy: s,
                     model: model.clone(),
                     budget: scale.budget,
                     batch: 1,
                 };
-                cells.push(GridCell {
-                    idx: cells.len(),
-                    pipeline: s.name().to_string(),
-                    pair_id: rep,
-                    spec: base(rep, session_seed, task),
-                });
+                push(s.name(), split.session_seed ^ (r << 32), task);
             }
         }
         if fig.include_proctor {
-            let session_seed = scale.seed ^ (rep << 16) ^ 0xF00D;
-            let task = CellTask::Proctor { config: scale.proctor(session_seed) };
-            cells.push(GridCell {
-                idx: cells.len(),
-                pipeline: "proctor".to_string(),
-                pair_id: rep,
-                spec: base(rep, session_seed, task),
-            });
+            let task = CellTask::Proctor { config: scale.proctor(split.session_seed) };
+            push("proctor", split.session_seed, task);
         }
     }
     cells
@@ -475,6 +597,7 @@ fn expand_sweep(sw: &SweepSpec) -> Vec<GridCell> {
                             split,
                             split_seed: seed ^ 0x9E37_79B9,
                             pool_seed: seed ^ 101,
+                            holdout: Holdout::Stratified,
                             session_seed: seed ^ 0xF00D,
                             contamination_pct: sw.contamination_pct,
                             noise_seed: seed ^ NOISE_SEED_SALT,
@@ -485,7 +608,13 @@ fn expand_sweep(sw: &SweepSpec) -> Vec<GridCell> {
                                 batch: sw.batch,
                             },
                         };
-                        cells.push(GridCell { idx: cells.len(), pipeline, pair_id: seed, spec });
+                        cells.push(GridCell {
+                            idx: cells.len(),
+                            pipeline,
+                            panel: 0,
+                            pair_id: seed,
+                            spec,
+                        });
                     }
                 }
             }
@@ -517,7 +646,7 @@ mod tests {
     }"#;
 
     #[test]
-    fn figure_expansion_mirrors_run_curves_job_order() {
+    fn figure_expansion_is_split_major() {
         let spec = GridSpec::parse(FIG, None).unwrap();
         assert_eq!(spec.name, "fig3");
         assert_eq!(spec.mode_name(), "figure");
@@ -528,13 +657,72 @@ mod tests {
         assert_eq!(cells[5].pipeline, "proctor");
         assert_eq!(cells[6].pipeline, "uncertainty");
         assert!(cells.iter().enumerate().all(|(i, c)| c.idx == i));
-        // Seed formulas match run_curves' prepare_splits / session seeds.
+        // The seed formulas behind results/fig3_smoke.json.
         let scale = RunScale::smoke(3);
         assert_eq!(cells[0].spec.split_seed, scale.seed ^ 0x9E37_79B9);
         assert_eq!(cells[6].spec.split_seed, scale.seed ^ (2 * 0x9E37_79B9));
         assert_eq!(cells[0].spec.pool_seed, scale.seed ^ 101);
         assert_eq!(cells[0].spec.session_seed, scale.seed ^ 0xF00D);
         assert_eq!(cells[6].spec.session_seed, scale.seed ^ (1u64 << 16) ^ 0xF00D);
+    }
+
+    #[test]
+    fn holdout_figures_expand_one_cell_per_split_and_strategy() {
+        let apps = FIG.replace(
+            "\"seed\": 3",
+            "\"seed\": 3, \"include_proctor\": false, \"strategies\": [\"uncertainty\", \"random\"],
+             \"holdout\": {\"apps\": [2, 4], \"combos\": 2}",
+        );
+        let cells = GridSpec::parse(&apps, None).unwrap().expand();
+        // 2 counts × 2 combos × 2 strategies, one session each.
+        assert_eq!(cells.len(), 8);
+        let panels: Vec<usize> = cells.iter().map(|c| c.panel).collect();
+        assert_eq!(panels, [0, 0, 0, 0, 1, 1, 1, 1]);
+        let pairs: Vec<u64> = cells.iter().map(|c| c.pair_id).collect();
+        assert_eq!(pairs, [0, 0, 1, 1, 2, 2, 3, 3]);
+        assert_eq!(cells[1].pipeline, "random");
+        let combo_seed = 3 ^ (4u64 << 24) ^ (1 << 8);
+        let last = &cells[7].spec;
+        assert_eq!(last.holdout, Holdout::Apps { n_seen: 4, shuffle_seed: combo_seed });
+        assert_eq!(last.split_seed, combo_seed ^ 0x5);
+        assert_eq!(last.pool_seed, combo_seed ^ 0x6);
+        assert_eq!(last.session_seed, combo_seed ^ 0x7);
+
+        let decks = FIG.replace(
+            "\"seed\": 3",
+            "\"seed\": 3, \"include_proctor\": false, \"strategies\": [\"margin\"],
+             \"holdout\": {\"decks\": [0, 2]}",
+        );
+        let cells = GridSpec::parse(&decks, None).unwrap().expand();
+        assert_eq!(cells.len(), 2);
+        assert!(cells.iter().all(|c| c.panel == 0));
+        let deck_seed = 3 ^ 0xDEC ^ (2u64 << 12);
+        assert_eq!(cells[1].spec.holdout, Holdout::Deck(2));
+        assert_eq!(cells[1].spec.split_seed, deck_seed);
+        assert_eq!(cells[1].spec.pool_seed, deck_seed ^ 0x2);
+        assert_eq!(cells[1].spec.session_seed, deck_seed ^ 0x3);
+    }
+
+    #[test]
+    fn bad_or_unknown_holdout_keys_are_rejected() {
+        let with = |holdout: &str| {
+            FIG.replace("\"seed\": 3", &format!("\"seed\": 3, \"holdout\": {holdout}"))
+        };
+        let err = GridSpec::parse(&with("{\"decks\": [0], \"dekcs\": [1]}"), None).unwrap_err();
+        assert!(err.to_string().contains("dekcs"), "{err}");
+        for bad in [
+            "{}",
+            "\"decks\"",
+            "{\"apps\": [2]}",
+            "{\"apps\": [2], \"combos\": 0}",
+            "{\"apps\": [0], \"combos\": 2}",
+            "{\"apps\": [2], \"combos\": 2, \"decks\": [0]}",
+            "{\"decks\": []}",
+            "{\"decks\": [\"zero\"]}",
+        ] {
+            assert!(GridSpec::parse(&with(bad), None).is_err(), "accepted holdout {bad}");
+        }
+        assert!(GridSpec::parse(&with("{\"decks\": [1]}"), None).is_ok());
     }
 
     #[test]

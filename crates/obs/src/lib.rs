@@ -22,8 +22,8 @@
 //!
 //! A disabled handle ([`Obs::disabled`]) turns every operation into a
 //! no-op, so instrumented hot paths cost nothing when observability is
-//! off — the `obs_overhead` benchmark holds the enabled path within a
-//! few percent of that baseline.
+//! off — perfbench's `obs.overhead_pct` measures the enabled path
+//! against that baseline.
 //!
 //! ## Determinism contract
 //!

@@ -128,6 +128,23 @@ for expected in ("stage_ns", "shard_busy_ns", "ingest_accepted_total"):
 print(f"  {len(lines)} events, {len(names)} metric families: OK")
 EOF
 
+echo "==> figure goldens (smoke seed-7 figures byte-identical to results/)"
+OUT_FIG=$(mktemp -d)
+trap 'rm -rf "$OUT_FIG"' EXIT
+cargo run --release -p alba-bench --bin repro -- \
+    --exp fig3,fig4,fig5,fig6,fig8,table5 --scale smoke --seed 7 --out "$OUT_FIG" >/dev/null
+N_FIG=0
+for f in "$OUT_FIG"/*.json "$OUT_FIG"/*.svg; do
+    name=$(basename "$f")
+    # Stage timings are wall-clock; everything else is seeded.
+    case "$name" in stage_timings_*) continue ;; esac
+    cmp "$f" "results/$name" \
+        || { echo "$name differs from the committed results/$name" >&2; exit 1; }
+    N_FIG=$((N_FIG + 1))
+done
+rm -rf "$OUT_FIG"
+echo "  $N_FIG figure artifacts byte-identical to results/: OK"
+
 echo "==> store smoke (cold run populates, warm run hits, results identical)"
 STORE_DIR=$(mktemp -d)
 OUT_COLD=$(mktemp -d)
@@ -360,7 +377,8 @@ print(f"  {bench['trace_overhead_pct']:.2f}% overhead, "
       f"{bench['trace_hops_per_sec_per_core']:.0f} hops/s/core: OK")
 EOF
 
-echo "==> grid smoke (resume from a partial store byte-identical, memo hits asserted)"
+echo "==> grid smoke (resume from a partial store byte-identical, memo hits asserted;"
+echo "    fig6 holdout figure: cold vs warm store and 1 vs 2 workers byte-identical)"
 GRID_STORE=$(mktemp -d)
 OUT_GRID_COLD=$(mktemp -d)
 OUT_GRID_PART=$(mktemp -d)
@@ -401,6 +419,45 @@ assert resumed["cache_misses"] == 3, f"resume must compute only the new seed: {r
 assert resumed["corrupt_entries"] == 0, resumed
 print(f"  6 cells: 3 primed, resume hit {resumed['cache_hits']} + computed "
       f"{resumed['cache_misses']}, report byte-identical to storeless run: OK")
+EOF
+# The fig6 spec at smoke scale: a cold 1-worker run fills the store, a
+# warm 2-worker run must hit every cell, and a storeless 2-worker run
+# must agree with both byte for byte.
+FIG6_STORE=$(mktemp -d)
+OUT_FIG6_COLD=$(mktemp -d)
+OUT_FIG6_WARM=$(mktemp -d)
+OUT_FIG6_W2=$(mktemp -d)
+trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$FIG6_STORE" "$OUT_FIG6_COLD" "$OUT_FIG6_WARM" "$OUT_FIG6_W2"' EXIT
+FIG6=(cargo run --release -p alba-bench --bin repro -- --grid specs/fig6.json --scale smoke --seed 7)
+"${FIG6[@]}" --grid-workers 1 --store "$FIG6_STORE" --out "$OUT_FIG6_COLD" >/dev/null
+"${FIG6[@]}" --grid-workers 2 --store "$FIG6_STORE" --out "$OUT_FIG6_WARM" >/dev/null
+"${FIG6[@]}" --grid-workers 2 --out "$OUT_FIG6_W2" >/dev/null
+for out in "$OUT_FIG6_WARM" "$OUT_FIG6_W2"; do
+    for f in grid_fig6.json grid_fig6_leaderboard.md; do
+        cmp "$OUT_FIG6_COLD/$f" "$out/$f" \
+            || { echo "fig6 grid $f diverged across store state or worker count" >&2; exit 1; }
+    done
+done
+python3 - "$OUT_FIG6_COLD" "$OUT_FIG6_WARM" <<'EOF'
+import json
+import pathlib
+import sys
+
+cold, warm = (pathlib.Path(p) for p in sys.argv[1:3])
+
+def cell_row(out):
+    stats = json.loads((out / "store_stats_grid_fig6.json").read_text())
+    (row,) = [k for k in stats["kinds"] if k["kind"] == "cell"]
+    return row
+
+cells = len(json.loads((cold / "grid_fig6.json").read_text())["cells"])
+first = cell_row(cold)
+assert first["cache_misses"] == cells and first["cache_hits"] == 0, first
+again = cell_row(warm)
+assert again["cache_hits"] == cells and again["cache_misses"] == 0, again
+assert again["corrupt_entries"] == 0, again
+print(f"  fig6: {cells} cells, warm store hit every one; cold, warm and "
+      f"2-worker reports byte-identical: OK")
 EOF
 
 echo "==> grid throughput bench (BENCH_grid.json exists, memo replay hits 100%)"
