@@ -2,15 +2,11 @@
 //! workspace's own sources.
 //!
 //! The corpus is the real tree (every file `alba-lint` itself scans),
-//! loaded once up front so timings measure analysis, not I/O. Two
-//! configurations, each best of `reps`:
-//!
-//! * **token** — lex + classify + token rules per file, the v1
-//!   pipeline; sets the baseline the interprocedural passes are
-//!   priced against.
-//! * **full** — `analyze_sources`: lex, parse, call-graph build, and
-//!   the three dataflow passes (panic reachability, nondeterminism
-//!   taint, lock order).
+//! loaded once up front so timings measure analysis, not I/O. Each rep
+//! runs `analyze_sources` — lex, parse (the one front end), per-file
+//! rules, call-graph build, and the three dataflow passes (panic
+//! reachability, nondeterminism taint, lock order) — and the best of
+//! `reps` is reported.
 //!
 //! Writes `results/BENCH_lint.json` — a trajectory point for
 //! `scripts/bench_gate.sh` — and prints the same numbers.
@@ -25,7 +21,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
-use alba_lint::{analyze_sources, lint_source, walk};
+use alba_lint::{analyze_sources, walk};
 
 fn main() {
     let quick = std::env::var("ALBA_BENCH_QUICK").is_ok_and(|v| v == "1");
@@ -42,44 +38,26 @@ fn main() {
     let n_files = files.len();
     let n_lines: usize = files.values().map(|s| s.lines().count()).sum();
 
-    // Token-only pipeline (v1): per-file lexing and token rules.
-    let mut token_best = f64::MAX;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let mut findings = 0usize;
-        for (path, src) in &files {
-            findings += lint_source(path, src).len();
-        }
-        token_best = token_best.min(t.elapsed().as_secs_f64().max(1e-9));
-        assert_eq!(findings, 0, "the tree must be token-clean");
-    }
-
-    // Full interprocedural pipeline.
-    let mut full_best = f64::MAX;
+    let mut best = f64::MAX;
     let mut fns = 0u64;
     let mut edges = 0u64;
     for _ in 0..reps {
         let t = Instant::now();
         let report = analyze_sources(&files);
-        full_best = full_best.min(t.elapsed().as_secs_f64().max(1e-9));
+        best = best.min(t.elapsed().as_secs_f64().max(1e-9));
         assert!(report.findings.is_empty(), "the tree must be clean: {:?}", report.findings);
         fns = report.fns_analyzed;
         edges = report.call_edges;
     }
 
-    let token_files_per_sec = n_files as f64 / token_best;
-    let full_files_per_sec = n_files as f64 / full_best;
-    let full_lines_per_sec = n_lines as f64 / full_best;
-    let ns_per_fn = full_best * 1e9 / fns.max(1) as f64;
-    // What the call graph + dataflow add on top of the token pass.
-    let interproc_cost_pct = (full_best / token_best - 1.0) * 100.0;
+    let files_per_sec = n_files as f64 / best;
+    let lines_per_sec = n_lines as f64 / best;
+    let ns_per_fn = best * 1e9 / fns.max(1) as f64;
 
-    println!("lint/token    {n_files} files             {token_files_per_sec:>14.0} files/s");
     println!(
-        "lint/full     {fns} fns / {edges} edges {full_files_per_sec:>14.0} files/s \
-         ({interproc_cost_pct:+.0}% vs token)"
+        "lint/full     {n_files} files, {fns} fns / {edges} edges {files_per_sec:>10.0} files/s"
     );
-    println!("lint/full     {n_lines} lines           {full_lines_per_sec:>14.0} lines/s");
+    println!("lint/full     {n_lines} lines           {lines_per_sec:>14.0} lines/s");
     println!("lint/full     per function         {ns_per_fn:>14.0} ns/fn");
 
     let json = format!(
@@ -88,19 +66,10 @@ fn main() {
          \"lines\": {},\n  \
          \"fns_analyzed\": {},\n  \
          \"call_edges\": {},\n  \
-         \"token_files_per_sec\": {:.0},\n  \
          \"lint_files_per_sec\": {:.0},\n  \
          \"lint_lines_per_sec\": {:.0},\n  \
          \"interproc_ns_per_fn\": {:.0}\n}}\n",
-        quick,
-        n_files,
-        n_lines,
-        fns,
-        edges,
-        token_files_per_sec,
-        full_files_per_sec,
-        full_lines_per_sec,
-        ns_per_fn,
+        quick, n_files, n_lines, fns, edges, files_per_sec, lines_per_sec, ns_per_fn,
     );
     let results = root.join("results");
     std::fs::create_dir_all(&results).expect("create results dir");

@@ -382,14 +382,11 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
     use crate::parse::parse_file;
-    use crate::rules::FileContext;
 
     fn graph(files: &[(&str, &str)]) -> Graph {
         let mut parsed = BTreeMap::new();
         for (path, src) in files {
-            let lexed = lex(src);
-            let ctx = FileContext::classify(path, &lexed);
-            parsed.insert(path.to_string(), parse_file(path, &lexed, &ctx));
+            parsed.insert(path.to_string(), parse_file(path, &lex(src)));
         }
         Graph::build(&parsed)
     }

@@ -23,6 +23,7 @@
 
 use crate::callgraph::{FnIdx, Graph};
 use crate::parse::{Site, SiteKind};
+use crate::rules;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A designated analysis root: (path prefix, optional impl type, name).
@@ -56,21 +57,6 @@ pub const OUTPUT_SINKS: &[RootSpec] = &[
     RootSpec { path_prefix: "crates/ml/", self_ty: Some("DiagnosisModel"), name: "save" },
 ];
 
-/// Indexing is a panic site only inside the service crates (whose
-/// contract is "no panics on runtime paths"); the numeric kernels in
-/// ml/features/core index slices as a matter of course behind
-/// length invariants and are out of scope for the `Index` site kind
-/// (their `unwrap`/`expect`/`panic!` still count everywhere).
-const INDEX_SCOPE: &[&str] = &[
-    "crates/serve/",
-    "crates/store/",
-    "crates/chaos/",
-    "crates/net/",
-    "crates/trace/",
-    "crates/grid/",
-    "crates/par/",
-];
-
 /// One step of a reported call chain.
 #[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct ChainStep {
@@ -101,7 +87,7 @@ pub struct InterFinding {
     pub chain: Vec<ChainStep>,
     /// Human explanation (includes the rendered chain).
     pub message: String,
-    /// The token rule whose `allow(...)` also silences this finding at
+    /// The per-file rule whose `allow(...)` also silences this finding at
     /// the source line (`no-panic-in-fallible` for reachable-panic,
     /// the matching nondet rule for taint findings).
     pub alias: Option<&'static str>,
@@ -116,6 +102,8 @@ fn describe(kind: &SiteKind) -> String {
         SiteKind::AmbientTime(t) => format!("`{t}::now`"),
         SiteKind::AmbientEntropy(e) => format!("`{e}`"),
         SiteKind::UnorderedContainer(c) => format!("`{c}`"),
+        // Per-file-rule kinds never enter a chain.
+        other => format!("{other:?}"),
     }
 }
 
@@ -189,7 +177,7 @@ pub fn panic_reachability(graph: &Graph, roots: &[RootSpec]) -> Vec<InterFinding
     let mut seen_sites: BTreeSet<(String, u32)> = BTreeSet::new();
     for f in order {
         let fi = &graph.fns[f];
-        let index_in_scope = INDEX_SCOPE.iter().any(|p| fi.path.starts_with(p));
+        let index_in_scope = rules::INDEX.contains(&fi.path);
         for site in &fi.sites {
             let is_panic = match &site.kind {
                 SiteKind::PanicUnwrap(_) | SiteKind::PanicMacro(_) => true,
@@ -465,15 +453,12 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
     use crate::parse::parse_file;
-    use crate::rules::FileContext;
     use std::collections::BTreeMap;
 
     fn graph(files: &[(&str, &str)]) -> Graph {
         let mut parsed = BTreeMap::new();
         for (path, src) in files {
-            let lexed = lex(src);
-            let ctx = FileContext::classify(path, &lexed);
-            parsed.insert(path.to_string(), parse_file(path, &lexed, &ctx));
+            parsed.insert(path.to_string(), parse_file(path, &lex(src)));
         }
         Graph::build(&parsed)
     }

@@ -1,6 +1,6 @@
 //! A minimal Rust lexer, just strong enough to lint safely.
 //!
-//! The rule engine only needs identifiers and punctuation with accurate
+//! The item parser only needs identifiers and punctuation with accurate
 //! line numbers; everything a rule pattern could *falsely* match inside
 //! — line and block comments (nested), string literals with escapes,
 //! raw strings with any number of `#` guards, byte/C-string variants,

@@ -7,20 +7,26 @@
 //! end-to-end tests tell you when that invariant breaks; this crate
 //! tells you *where*, before anything runs.
 //!
-//! Two engines share one reporting pipeline:
+//! One front end feeds both kinds of rules and one reporting pipeline:
 //!
-//! * the **token engine** ([`rules`]) — per-file patterns over the
-//!   hand-rolled [`lexer`] stream (comments/strings can never fire);
-//! * the **interprocedural engine** — an item parser ([`parse`]) on the
-//!   same lexer, a cross-crate call graph ([`callgraph`]), and three
-//!   dataflow passes ([`dataflow`]): panic-reachability from hot-path
-//!   roots, nondeterminism taint into journaled-output sinks, and
-//!   lock-order cycle detection. Findings carry the full call chain,
-//!   each step a clickable `file:line`.
+//! * the **front end** — the hand-rolled [`lexer`] (comments and
+//!   strings can never fire) and an item parser ([`parse`]) that
+//!   records, in one walk over the tokens, every fn item with its calls
+//!   and locks, and every *site* (`.unwrap()`, `Instant::now`,
+//!   `HashMap`, `std::fs`, ...) inside fn bodies and out;
+//! * the **per-file rules** ([`rules`]) — a lookup from each site's
+//!   kind, the file's path scope and its test context to a rule and a
+//!   message;
+//! * the **interprocedural passes** — a cross-crate call graph
+//!   ([`callgraph`]) over the same parse, and three dataflow passes
+//!   ([`dataflow`]): panic-reachability from hot-path roots,
+//!   nondeterminism taint into journaled-output sinks, and lock-order
+//!   cycle detection. Findings carry the full call chain, each step a
+//!   clickable `file:line`.
 //!
 //! Suppressions ([`suppress`]) are reason-mandatory; interprocedural
 //! findings are suppressible at the *source* (the panic/nondet site —
-//! also via the matching token rule's name) or at the *root* (the
+//! also via the matching per-file rule's name) or at the *root* (the
 //! hot-path fn / sink caller — interprocedural rule name only). A
 //! suppression naming an interprocedural rule that no longer silences
 //! anything is itself reported (`stale-suppression`) under
@@ -40,12 +46,11 @@ pub mod walk;
 use baseline::{Baseline, Key, StaleEntry, Violation};
 use callgraph::Graph;
 use dataflow::{lock_order, nondet_taint, panic_reachability, InterFinding};
-use rules::FileContext;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-/// The rules produced by the interprocedural engine.
+/// The rules produced by the interprocedural passes.
 pub const INTERPROCEDURAL_RULES: &[&str] = &["reachable-panic", "nondet-taint", "lock-order-cycle"];
 
 /// Rule name of the diagnostics produced for suppressions that name an
@@ -64,7 +69,7 @@ pub struct Finding {
     /// Human explanation.
     pub message: String,
     /// Interprocedural findings carry the call chain, root first, site
-    /// last; token findings leave it empty.
+    /// last; per-file findings leave it empty.
     pub chain: Vec<dataflow::ChainStep>,
 }
 
@@ -97,29 +102,16 @@ impl Report {
     }
 }
 
-/// Runs the *token* rules on one in-memory source file (the
-/// interprocedural passes need the whole workspace; see
-/// [`analyze_sources`]). `path` is the workspace-relative path (forward
-/// slashes) the rule scopes match against.
+/// Runs the per-file rules on one in-memory source file: the one-file
+/// case of [`analyze_sources`], without the interprocedural findings
+/// (a call graph of one file is not the workspace's). `path` is the
+/// workspace-relative path (forward slashes) the rule scopes match
+/// against.
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
-    let lexed = lexer::lex(src);
-    let ctx = FileContext::classify(path, &lexed);
-    let sup = suppress::extract(&lexed);
-    let mut out = Vec::new();
-    push_suppression_findings(&sup, path, &mut out);
-    for raw in rules::check_file(&ctx, &lexed) {
-        if !sup.silences(raw.rule, raw.line) {
-            out.push(Finding {
-                rule: raw.rule.to_string(),
-                path: path.to_string(),
-                line: raw.line,
-                message: raw.message,
-                chain: Vec::new(),
-            });
-        }
-    }
-    out.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(&b.rule)));
-    out
+    let files = BTreeMap::from([(path.to_string(), src.to_string())]);
+    let mut findings = analyze_sources(&files).findings;
+    findings.retain(|f| !INTERPROCEDURAL_RULES.contains(&f.rule.as_str()));
+    findings
 }
 
 /// Malformed or unknown-rule suppressions are findings themselves,
@@ -153,34 +145,23 @@ fn push_suppression_findings(sup: &suppress::Suppressions, path: &str, out: &mut
     }
 }
 
-/// Number of token-rule findings a reasoned suppression silenced in `src`.
-pub fn suppressed_count(path: &str, src: &str) -> u64 {
-    let lexed = lexer::lex(src);
-    let ctx = FileContext::classify(path, &lexed);
-    let sup = suppress::extract(&lexed);
-    rules::check_file(&ctx, &lexed)
-        .into_iter()
-        .filter(|raw| sup.silences(raw.rule, raw.line))
-        .count() as u64
-}
-
-/// Runs both engines over a set of in-memory sources (workspace-relative
-/// path -> contents). This is the full analysis behind
-/// [`lint_workspace`]; the fixture tests drive it directly.
+/// Runs the whole analysis over a set of in-memory sources
+/// (workspace-relative path -> contents). This is what
+/// [`lint_workspace`] runs; the fixture tests drive it directly.
 pub fn analyze_sources(files: &BTreeMap<String, String>) -> Report {
     let mut report = Report::default();
     let mut sups: BTreeMap<String, suppress::Suppressions> = BTreeMap::new();
     let mut parsed: BTreeMap<String, parse::ParsedFile> = BTreeMap::new();
 
-    // Stage 1: lex once per file; token rules + suppression extraction
-    // + item parse off the same token stream.
+    // Stage 1: lex and parse once per file; suppression extraction and
+    // the per-file rules read that one parse.
     for (path, src) in files {
         let lexed = lexer::lex(src);
-        let ctx = FileContext::classify(path, &lexed);
         let sup = suppress::extract(&lexed);
+        let file = parse::parse_file(path, &lexed);
         report.files_scanned += 1;
         push_suppression_findings(&sup, path, &mut report.findings);
-        for raw in rules::check_file(&ctx, &lexed) {
+        for raw in rules::check_file(path, &file) {
             if sup.silences(raw.rule, raw.line) {
                 report.suppressed += 1;
             } else {
@@ -193,7 +174,7 @@ pub fn analyze_sources(files: &BTreeMap<String, String>) -> Report {
                 });
             }
         }
-        parsed.insert(path.clone(), parse::parse_file(path, &lexed, &ctx));
+        parsed.insert(path.clone(), file);
         sups.insert(path.clone(), sup);
     }
 
@@ -248,7 +229,7 @@ pub fn analyze_sources(files: &BTreeMap<String, String>) -> Report {
 }
 
 /// Whether any suppression silences interprocedural finding `f` —
-/// at the source (its own rule name or the matching token rule's) or at
+/// at the source (its own rule name or the matching per-file rule's) or at
 /// the root (interprocedural rule name only). Every matching
 /// suppression that names an interprocedural rule is marked used.
 fn silences_inter(
@@ -281,7 +262,8 @@ fn silences_inter(
     hit
 }
 
-/// Lints every workspace source under `root` with both engines.
+/// Lints every workspace source under `root`: per-file rules and
+/// interprocedural passes.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = BTreeMap::new();
     for abs in walk::workspace_sources(root)? {
@@ -325,7 +307,7 @@ mod tests {
         let src = "struct S { m: HashMap<u8, u8> } // alba-lint: allow(no-unordered-iteration) reason=\"lookup only\"\n";
         let path = "crates/serve/src/x.rs";
         assert!(lint_source(path, src).is_empty());
-        assert_eq!(suppressed_count(path, src), 1);
+        assert_eq!(analyze(&[(path, src)]).suppressed, 1);
     }
 
     #[test]
@@ -350,7 +332,7 @@ mod tests {
     fn allow_file_silences_the_whole_file() {
         let src = "// alba-lint: allow-file(no-ambient-time) reason=\"the one sanctioned wall clock\"\nfn f() { let t = Instant::now(); }\nfn g() { let u = Instant::now(); }\n";
         assert!(lint_source("crates/obs/src/clock.rs", src).is_empty());
-        assert_eq!(suppressed_count("crates/obs/src/clock.rs", src), 2);
+        assert_eq!(analyze(&[("crates/obs/src/clock.rs", src)]).suppressed, 2);
     }
 
     #[test]
@@ -378,7 +360,7 @@ mod tests {
             "{:?}",
             report.findings
         );
-        // The alias suppression is a token-rule allow, not an
+        // The alias suppression is a per-file-rule allow, not an
         // interprocedural one — it cannot go stale here.
         assert!(report.stale_suppressions.is_empty());
     }
@@ -403,6 +385,30 @@ mod tests {
         assert!(!report.findings.iter().any(|f| f.rule == "reachable-panic"));
         assert_eq!(report.stale_suppressions.len(), 1);
         assert_eq!(report.stale_suppressions[0].rule, STALE_SUPPRESSION);
+    }
+
+    #[test]
+    fn a_cfg_test_import_does_not_hide_the_file_from_the_graph() {
+        let report = analyze(&[(
+            "crates/serve/src/service.rs",
+            "#[cfg(test)]\nuse crate::testutil::fake;\nimpl FleetService { pub fn tick(&mut self) { helper(); } }\nfn helper() { None::<u8>.unwrap(); }\n",
+        )]);
+        assert_eq!(report.fns_analyzed, 2);
+        let reach: Vec<u32> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "reachable-panic")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(reach, vec![4]);
+    }
+
+    #[test]
+    fn a_cfg_test_module_declaration_exempts_only_itself() {
+        let src = "#[cfg(test)] mod testutil;\npub fn live(v: Option<u8>) -> u8 { v.unwrap() }\n";
+        let found = lint_source("crates/store/src/x.rs", src);
+        let rules: Vec<(&str, u32)> = found.iter().map(|f| (f.rule.as_str(), f.line)).collect();
+        assert_eq!(rules, vec![("no-panic-in-fallible", 2)]);
     }
 
     #[test]

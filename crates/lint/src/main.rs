@@ -47,7 +47,13 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--write-baseline" => write_baseline = true,
             "--rules" => {
                 for r in rules::CATALOG {
+                    let tests = if r.tests_exempt { "exempt" } else { "checked" };
                     println!("{:28} {}", r.name, r.summary);
+                    println!("{:28} scope `{}`, test code {tests}", "", r.scope.name);
+                }
+                println!("\nscopes (`dir/` = every path under dir):");
+                for s in rules::SCOPES {
+                    println!("  {:16} {}", s.name, s.describe());
                 }
                 return Ok(None);
             }

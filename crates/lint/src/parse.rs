@@ -1,20 +1,30 @@
-//! A lightweight item parser on top of the [`crate::lexer`] stream.
+//! A lightweight item parser on top of the [`crate::lexer`] stream —
+//! the linter's one front end.
 //!
 //! This is *not* a Rust grammar. It recovers exactly the facts the
-//! interprocedural passes need and nothing more:
+//! per-file rules and the interprocedural passes need, in one walk
+//! over the tokens:
 //!
 //! * `fn` items with their enclosing `impl`/`trait` context (so
-//!   `self.m()` can be resolved precisely) and their body token range;
+//!   `self.m()` can be resolved precisely), plus two stage facts for
+//!   `no-untraced-stage`: whether the body opens an obs span and
+//!   whether it touches the causal tracer;
 //! * call expressions inside each body — `self.m(...)`, `x.m(...)`,
 //!   `Type::assoc(...)`, `module::free(...)`, `free(...)` — with
 //!   turbofish skipped and macro invocations excluded;
-//! * the *sites* the dataflow passes care about: panic sites
-//!   (`.unwrap()`, `.expect(..)`, `panic!`-family macros, slice/array
-//!   indexing), ambient time/entropy, unordered containers, and lock
-//!   acquisitions (`*.lock()`), the latter with the lexical block span
-//!   they are held for;
+//! * *sites*: panic sites (`.unwrap()`, `.expect(..)`, `panic!`-family
+//!   macros, slice/array indexing), ambient time/entropy, unordered
+//!   containers, float `partial_cmp(..).unwrap()`, direct fs I/O,
+//!   unbounded queue constructors and arrival-order joins. Every token
+//!   passes the site detector exactly once, whether or not the item
+//!   walk recognised the code around it: a site inside a fn body
+//!   belongs to that fn, any other (struct fields, signatures, `use`
+//!   items, code after a header the parser gave up on) to the file;
+//! * lock acquisitions (`*.lock()`) with the lexical block span they
+//!   are held for;
 //! * `use` declarations, so type aliases (`use a::Foo as Bar`) resolve
-//!   to their real names and paths carry a crate hint.
+//!   to their real names and paths carry a crate hint;
+//! * the line ranges of `#[cfg(test)]` items.
 //!
 //! Everything the parser cannot model (closures passed as values,
 //! function pointers, fully-qualified `<T as Tr>::m` calls, macro
@@ -22,7 +32,6 @@
 //! lexer, the parser is total on hostile input.
 
 use crate::lexer::{LexFile, Tok, Token};
-use crate::rules::FileContext;
 use std::collections::BTreeMap;
 
 /// How a call site names its callee.
@@ -43,13 +52,14 @@ pub enum CallTarget {
 pub struct Call {
     /// 1-based line of the callee name.
     pub line: u32,
-    /// Sequence number within the fn (shared with sites, source order).
+    /// Sequence number within the file (shared with sites and locks,
+    /// source order).
     pub seq: u32,
     /// The named callee.
     pub target: CallTarget,
 }
 
-/// The kinds of dataflow-relevant sites the parser records.
+/// The kinds of sites the parser records.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SiteKind {
     /// `.unwrap()` / `.expect(` — the detail says which.
@@ -64,14 +74,28 @@ pub enum SiteKind {
     AmbientEntropy(String),
     /// A `HashMap`/`HashSet` mention outside `use` items.
     UnorderedContainer(String),
+    /// `.partial_cmp(..).unwrap()` / `.expect(..)` — NaN panics.
+    FloatPartialCmp,
+    /// Direct fs I/O: `std::fs`, `File::open`/`create`, `OpenOptions`.
+    FsIo(&'static str),
+    /// A queue born without a capacity: `VecDeque::new`,
+    /// `LinkedList::new`, `mpsc::channel`.
+    UnboundedQueue(&'static str),
+    /// `.try_iter()` / `.try_recv()` — results in arrival order.
+    ArrivalJoin(&'static str),
+    /// A `for` header naming a receiver (`rx`, `receiver`, `*_rx`,
+    /// `rx_*`) — drains results in completion order.
+    ReceiverLoop(String),
 }
 
-/// One dataflow-relevant site inside a fn body.
+/// One site: in a fn body ([`FnItem::sites`]) or outside every fn
+/// ([`ParsedFile::sites`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Site {
     /// 1-based line.
     pub line: u32,
-    /// Sequence number within the fn (shared with calls, source order).
+    /// Sequence number within the file (shared with calls and locks,
+    /// source order).
     pub seq: u32,
     /// What was found.
     pub kind: SiteKind,
@@ -113,15 +137,20 @@ pub struct FnItem {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// True when the fn sits in test context (test file or trailing
-    /// `#[cfg(test)]` region) — excluded from the call graph.
+    /// True when the fn sits in test context (test file or a
+    /// `#[cfg(test)]` item) — excluded from the call graph.
     pub is_test: bool,
     /// Calls made in the body, in source order.
     pub calls: Vec<Call>,
-    /// Dataflow sites in the body, in source order.
+    /// Sites in the body, in source order.
     pub sites: Vec<Site>,
     /// Lock acquisitions with their held spans.
     pub locks: Vec<LockSpan>,
+    /// The body (nested fns included) opens an obs stage span: `.span(`.
+    pub opens_span: bool,
+    /// The body (nested fns included) touches the causal tracer: a
+    /// `tracer`, `hop` or `trace_*` identifier.
+    pub touches_tracer: bool,
 }
 
 impl FnItem {
@@ -141,6 +170,21 @@ pub struct ParsedFile {
     pub fns: Vec<FnItem>,
     /// `use` aliases: visible name -> full path segments.
     pub uses: BTreeMap<String, Vec<String>>,
+    /// Sites outside every fn body, in source order.
+    pub sites: Vec<Site>,
+    /// Line ranges (inclusive) of `#[cfg(test)]` items, attribute
+    /// included.
+    pub test_items: Vec<(u32, u32)>,
+    /// The whole file is test context ([`crate::rules::is_test_file`]).
+    pub all_test: bool,
+}
+
+impl ParsedFile {
+    /// True when `line` sits in test context: a test file, or inside a
+    /// `#[cfg(test)]` item.
+    pub fn is_test_line(&self, line: u32) -> bool {
+        self.all_test || self.test_items.iter().any(|&(from, to)| from <= line && line <= to)
+    }
 }
 
 /// Maps a workspace-relative path to its crate name: `crates/x/...` ->
@@ -231,31 +275,13 @@ enum Scope {
     Other,
 }
 
-/// Marks token indices inside `use ...;` items (so container *imports*
-/// are not sites, mirroring the token-rule engine).
-fn use_mask(toks: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
-    let mut in_use = false;
-    for (i, t) in toks.iter().enumerate() {
-        match &t.tok {
-            Tok::Ident(s) if s == "use" && !in_use => in_use = true,
-            Tok::Punct(';') if in_use => {
-                in_use = false;
-                continue;
-            }
-            _ => {}
-        }
-        mask[i] = in_use;
-    }
-    mask
-}
-
-/// Parses one lexed file into items. Total on hostile input: malformed
-/// headers simply produce no item, never a panic.
-pub fn parse_file(path: &str, lexed: &LexFile, ctx: &FileContext) -> ParsedFile {
+/// Parses one lexed file into items and sites. Total on hostile
+/// input: malformed headers simply produce no item (their sites are
+/// still recorded, at file level), never a panic.
+pub fn parse_file(path: &str, lexed: &LexFile) -> ParsedFile {
     let toks = &lexed.tokens;
-    let mask = use_mask(toks);
-    let mut out = ParsedFile::default();
+    let mut out =
+        ParsedFile { all_test: crate::rules::is_test_file(path), ..ParsedFile::default() };
     let crate_name = crate_of(path);
 
     // Scope tracking: every `{` pushes, every `}` pops. `pending` holds
@@ -263,15 +289,19 @@ pub fn parse_file(path: &str, lexed: &LexFile, ctx: &FileContext) -> ParsedFile 
     // headers).
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending: Option<Scope> = None;
-    // Per-open-fn bookkeeping (supports nested fns): (fns index, seq
-    // counter, open locks as (site index into fns[i].locks, depth)).
+    // Open fn bodies, innermost last (supports nested fns).
     let mut fn_stack: Vec<FnFrame> = Vec::new();
+    let mut sites = SiteWalk::default();
 
     let mut i = 0usize;
     while i < toks.len() {
+        // Every token up to `i` passes the site detector first, so the
+        // header and body skips below can never hide a site.
+        sites.advance(i + 1, toks, &mut out, &fn_stack);
+
         // ---- structural: use / impl / trait / fn headers ------------
         match ident_at(toks, i) {
-            Some("use") if !in_fn(&fn_stack) => {
+            Some("use") if fn_stack.is_empty() => {
                 i = parse_use(toks, i, &mut out.uses);
                 continue;
             }
@@ -302,10 +332,12 @@ pub fn parse_file(path: &str, lexed: &LexFile, ctx: &FileContext) -> ParsedFile 
                         trait_of,
                         name: name.to_string(),
                         line,
-                        is_test: ctx.is_test_line(line),
+                        is_test: out.is_test_line(line),
                         calls: Vec::new(),
                         sites: Vec::new(),
                         locks: Vec::new(),
+                        opens_span: false,
+                        touches_tracer: false,
                     });
                     pending = Some(Scope::Fn { idx: out.fns.len() - 1 });
                     // Skip the signature: nothing between `fn name` and
@@ -324,7 +356,7 @@ pub fn parse_file(path: &str, lexed: &LexFile, ctx: &FileContext) -> ParsedFile 
             Some('{') => {
                 scopes.push(pending.take().unwrap_or(Scope::Other));
                 if let Some(Scope::Fn { idx }) = scopes.last() {
-                    fn_stack.push((*idx, 0, Vec::new()));
+                    fn_stack.push((*idx, Vec::new()));
                 }
                 i += 1;
                 continue;
@@ -333,21 +365,21 @@ pub fn parse_file(path: &str, lexed: &LexFile, ctx: &FileContext) -> ParsedFile 
                 match scopes.pop() {
                     Some(Scope::Fn { idx }) => {
                         // Close the fn: release its remaining locks.
-                        if let Some((fidx, seq, open_locks)) = fn_stack.pop() {
+                        if let Some((fidx, open_locks)) = fn_stack.pop() {
                             debug_assert_eq!(fidx, idx);
                             for (li, _) in open_locks {
-                                out.fns[fidx].locks[li].end_seq = seq;
+                                out.fns[fidx].locks[li].end_seq = sites.seq;
                             }
                         }
                     }
                     Some(_) => {
                         // A block inside a fn closed: locks acquired in
                         // deeper blocks are released here.
-                        if let Some((fidx, seq, open_locks)) = fn_stack.last_mut() {
+                        if let Some((fidx, open_locks)) = fn_stack.last_mut() {
                             let depth = scopes.len();
                             open_locks.retain(|&(li, acq_depth)| {
                                 if acq_depth > depth {
-                                    out.fns[*fidx].locks[li].end_seq = *seq;
+                                    out.fns[*fidx].locks[li].end_seq = sites.seq;
                                     false
                                 } else {
                                     true
@@ -369,32 +401,122 @@ pub fn parse_file(path: &str, lexed: &LexFile, ctx: &FileContext) -> ParsedFile 
             pending = None;
         }
 
-        // ---- body facts: calls, sites, locks ------------------------
-        if let Some(&(fidx, ..)) = fn_stack.last() {
-            if !mask[i] {
-                i = scan_body_token(toks, i, fidx, &mut out.fns, &mut fn_stack, scopes.len());
-                continue;
-            }
+        // ---- body facts: calls and locks ----------------------------
+        if !fn_stack.is_empty() && !sites.in_use {
+            i = scan_body_token(toks, i, &mut out.fns, &mut fn_stack, scopes.len(), &mut sites.seq);
+            continue;
         }
         i += 1;
     }
+    sites.advance(toks.len(), toks, &mut out, &fn_stack);
 
     // EOF with open fns (unterminated input): close their locks.
-    while let Some((fidx, seq, open_locks)) = fn_stack.pop() {
+    while let Some((fidx, open_locks)) = fn_stack.pop() {
         for (li, _) in open_locks {
-            out.fns[fidx].locks[li].end_seq = seq;
+            out.fns[fidx].locks[li].end_seq = sites.seq;
         }
     }
     out.fns.sort_by(|a, b| a.line.cmp(&b.line).then(a.name.cmp(&b.name)));
     out
 }
 
-/// Per-open-fn scan state: (fns index, seq counter, open locks as
-/// (site index into `fns[i].locks`, brace depth)).
-type FnFrame = (usize, u32, Vec<(usize, usize)>);
+/// One open fn body: its index into `fns` and its open locks as
+/// (index into `fns[i].locks`, brace depth at acquisition).
+type FnFrame = (usize, Vec<(usize, usize)>);
 
-fn in_fn(fn_stack: &[FnFrame]) -> bool {
-    !fn_stack.is_empty()
+/// The site detector's cursor. It visits every token once, in order,
+/// trailing the item walk in [`parse_file`].
+#[derive(Default)]
+struct SiteWalk {
+    /// The next token to visit.
+    next: usize,
+    /// File-wide sequence counter, shared by sites, calls and locks.
+    seq: u32,
+    /// The last visited token sits inside a `use ...;` item.
+    in_use: bool,
+}
+
+impl SiteWalk {
+    /// Visits every token before `end`, recording sites, stage facts
+    /// and `#[cfg(test)]` items. `fn_stack` holds the fn bodies open at
+    /// those tokens.
+    fn advance(&mut self, end: usize, toks: &[Token], out: &mut ParsedFile, fn_stack: &[FnFrame]) {
+        while self.next < end {
+            let i = self.next;
+            self.next += 1;
+            match &toks[i].tok {
+                Tok::Ident(s) if s == "use" && !self.in_use => self.in_use = true,
+                Tok::Punct(';') if self.in_use => self.in_use = false,
+                _ => {}
+            }
+            if let Some(range) = cfg_test_item(toks, i) {
+                out.test_items.push(range);
+            }
+            // Stage facts hold for every open fn: a nested fn's body
+            // is part of its parent's.
+            if is_punct(toks, i, '.')
+                && ident_at(toks, i + 1) == Some("span")
+                && is_punct(toks, i + 2, '(')
+            {
+                fn_stack.iter().for_each(|&(f, _)| out.fns[f].opens_span = true);
+            }
+            if ident_at(toks, i)
+                .is_some_and(|s| s == "tracer" || s == "hop" || s.starts_with("trace_"))
+            {
+                fn_stack.iter().for_each(|&(f, _)| out.fns[f].touches_tracer = true);
+            }
+            let Some((line, kind)) = site_at(toks, i) else { continue };
+            // A `use` item imports a name: a container import is no
+            // site at all, and nothing in an import belongs to a body.
+            if self.in_use && matches!(kind, SiteKind::UnorderedContainer(_)) {
+                continue;
+            }
+            self.seq += 1;
+            let site = Site { line, seq: self.seq, kind };
+            match fn_stack.last() {
+                Some(&(f, _)) if !self.in_use => out.fns[f].sites.push(site),
+                _ => out.sites.push(site),
+            }
+        }
+    }
+}
+
+/// `#[cfg(..)]` naming `test` at `i`: the line range from the attribute
+/// to the end of the item it annotates — its `;`, its closing brace, or
+/// the closing bracket of the enclosing group. Unterminated input runs
+/// to the end of the file.
+fn cfg_test_item(toks: &[Token], i: usize) -> Option<(u32, u32)> {
+    if !(is_punct(toks, i, '#')
+        && is_punct(toks, i + 1, '[')
+        && ident_at(toks, i + 2) == Some("cfg"))
+    {
+        return None;
+    }
+    let start = toks[i].line;
+    let mut depth = 0i32;
+    let mut in_attr = true;
+    let mut names_test = false;
+    for t in &toks[i + 1..] {
+        match &t.tok {
+            Tok::Ident(s) if in_attr && s == "test" => names_test = true,
+            Tok::Punct('(' | '[' | '{') => depth += 1,
+            Tok::Punct(c @ (')' | ']' | '}')) => {
+                depth -= 1;
+                if in_attr && depth == 0 {
+                    // The attribute closed; the annotated item follows.
+                    if !names_test {
+                        return None;
+                    }
+                    in_attr = false;
+                } else if depth < 0 || (depth == 0 && *c == '}') {
+                    return Some((start, t.line));
+                }
+            }
+            Tok::Punct(';') if depth == 0 => return Some((start, t.line)),
+            _ => {}
+        }
+    }
+    names_test.then(|| (start, toks.last().map_or(start, |t| t.line)))
 }
 
 /// The innermost impl/trait context on the scope stack.
@@ -548,25 +670,137 @@ fn skip_signature(toks: &[Token], mut i: usize) -> usize {
     i
 }
 
-const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng", "getrandom"];
+/// The site whose anchor token is `i`, with its line. Pure token
+/// lookahead, independent of any item structure; at most one site
+/// anchors at a token.
+fn site_at(toks: &[Token], i: usize) -> Option<(u32, SiteKind)> {
+    let line = toks[i].line;
+    match &toks[i].tok {
+        // `.name` — the site is reported on the name's line.
+        Tok::Punct('.') => {
+            let name = ident_at(toks, i + 1)?;
+            let nline = toks[i + 1].line;
+            let call = is_punct(toks, i + 2, '(');
+            let kind = match name {
+                "partial_cmp" => {
+                    let after = skip_parens(toks, i + 2)?;
+                    let unwrapped = is_punct(toks, after, '.')
+                        && matches!(ident_at(toks, after + 1), Some("unwrap" | "expect"));
+                    unwrapped.then_some(SiteKind::FloatPartialCmp)?
+                }
+                "unwrap" if call => SiteKind::PanicUnwrap("unwrap"),
+                "expect" if call => SiteKind::PanicUnwrap("expect"),
+                "try_iter" if call => SiteKind::ArrivalJoin("try_iter"),
+                "try_recv" if call => SiteKind::ArrivalJoin("try_recv"),
+                _ => return None,
+            };
+            Some((nline, kind))
+        }
+        // Indexing: `expr[` where expr just ended in an ident, `)` or `]`.
+        Tok::Punct('[') => {
+            let indexable = match toks.get(i.wrapping_sub(1)).map(|t| &t.tok) {
+                Some(Tok::Ident(s)) => !is_keyword(s),
+                Some(Tok::Punct(')')) | Some(Tok::Punct(']')) => true,
+                _ => false,
+            };
+            indexable.then_some((line, SiteKind::Index))
+        }
+        Tok::Ident(id) => {
+            let then = |seg: &str| followed_by_segment(toks, i, seg);
+            let kind = match id.as_str() {
+                "Instant" if then("now") => SiteKind::AmbientTime("Instant"),
+                "SystemTime" if then("now") => SiteKind::AmbientTime("SystemTime"),
+                "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => {
+                    SiteKind::AmbientEntropy(id.clone())
+                }
+                "HashMap" | "HashSet" => SiteKind::UnorderedContainer(id.clone()),
+                "panic" | "unreachable" | "todo" | "unimplemented"
+                    if is_punct(toks, i + 1, '!') =>
+                {
+                    SiteKind::PanicMacro(PANIC_MACROS.iter().find(|m| **m == id)?)
+                }
+                // `fs::read` only counts when `fs` starts the path, so
+                // `std::fs::read` is not reported twice.
+                "std" if then("fs") => SiteKind::FsIo("std::fs"),
+                "fs" if then("read") && !is_punct(toks, i.wrapping_sub(1), ':') => {
+                    SiteKind::FsIo("std::fs")
+                }
+                "File" if then("open") || then("create") => SiteKind::FsIo("File::open/create"),
+                "OpenOptions" => SiteKind::FsIo("OpenOptions"),
+                "VecDeque" if then("new") => SiteKind::UnboundedQueue("VecDeque::new"),
+                "LinkedList" if then("new") => SiteKind::UnboundedQueue("LinkedList::new"),
+                "mpsc" if then("channel") => SiteKind::UnboundedQueue("mpsc::channel"),
+                // `for <pat> in <expr> {` whose header names a receiver;
+                // `for<'a>` higher-ranked bounds are not loops.
+                "for" if !is_punct(toks, i + 1, '<') => {
+                    let rx = toks[i + 1..]
+                        .iter()
+                        .take_while(|t| !matches!(t.tok, Tok::Punct('{' | ';')))
+                        .find_map(|t| match &t.tok {
+                            Tok::Ident(s)
+                                if s == "rx"
+                                    || s == "receiver"
+                                    || s.ends_with("_rx")
+                                    || s.starts_with("rx_") =>
+                            {
+                                Some(s.clone())
+                            }
+                            _ => None,
+                        })?;
+                    SiteKind::ReceiverLoop(rx)
+                }
+                _ => return None,
+            };
+            Some((line, kind))
+        }
+        _ => None,
+    }
+}
+
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Examines the body token at `i`, recording calls/sites/locks into
-/// `fns[fidx]`; returns the next index to scan from.
+/// `:: seg` right after token `i`.
+fn followed_by_segment(toks: &[Token], i: usize, seg: &str) -> bool {
+    is_punct(toks, i + 1, ':') && is_punct(toks, i + 2, ':') && ident_at(toks, i + 3) == Some(seg)
+}
+
+/// Index just past the `)` that balances the first `(` at or after
+/// `open`, or `None` when unbalanced.
+fn skip_parens(toks: &[Token], open: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(open) {
+        match t.tok {
+            Tok::Punct('(') => depth += 1,
+            Tok::Punct(')') => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(j + 1);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Examines the body token at `i`, recording calls and locks into the
+/// innermost open fn; returns the next index to scan from. Sites are
+/// the [`SiteWalk`]'s business.
 fn scan_body_token(
     toks: &[Token],
     i: usize,
-    fidx: usize,
     fns: &mut [FnItem],
     fn_stack: &mut [FnFrame],
     depth: usize,
+    seq: &mut u32,
 ) -> usize {
     let line = toks[i].line;
-    let top = fn_stack.last_mut().map(|(_, seq, locks)| (seq, locks));
-    let Some((seq, open_locks)) = top else { return i + 1 };
+    let Some((fidx, open_locks)) = fn_stack.last_mut() else { return i + 1 };
+    let fidx = *fidx;
 
-    // `.name(` — method call, panic site, or lock acquisition. The
-    // token *after* the name decides (turbofish skipped).
+    // `.name(` — method call or lock acquisition (`unwrap`/`expect` are
+    // panic sites, not calls). The token *after* the name decides
+    // (turbofish skipped).
     if is_punct(toks, i, '.') {
         if let Some(name) = ident_at(toks, i + 1) {
             let mut after = i + 2;
@@ -577,17 +811,10 @@ fn scan_body_token(
             }
             if is_punct(toks, after, '(') {
                 let nline = toks[i + 1].line;
-                *seq += 1;
                 match name {
-                    "unwrap" | "expect" => {
-                        let d = if name == "unwrap" { "unwrap" } else { "expect" };
-                        fns[fidx].sites.push(Site {
-                            line: nline,
-                            seq: *seq,
-                            kind: SiteKind::PanicUnwrap(d),
-                        });
-                    }
+                    "unwrap" | "expect" => {}
                     "lock" => {
+                        *seq += 1;
                         let lock_id = lock_receiver(toks, i, fns[fidx].self_ty.as_deref());
                         fns[fidx].locks.push(LockSpan {
                             line: nline,
@@ -598,6 +825,7 @@ fn scan_body_token(
                         open_locks.push((fns[fidx].locks.len() - 1, depth));
                     }
                     _ => {
+                        *seq += 1;
                         let target = if ident_at(toks, i.wrapping_sub(1)) == Some("self")
                             && !is_punct(toks, i.wrapping_sub(2), '.')
                         {
@@ -614,99 +842,51 @@ fn scan_body_token(
         return i + 1;
     }
 
-    if let Some(id) = ident_at(toks, i) {
-        // Macro invocation: `name!` — panic-family macros are sites;
-        // all other macros produce no edges (their bodies are opaque).
-        if is_punct(toks, i + 1, '!') {
-            if let Some(m) = PANIC_MACROS.iter().find(|m| **m == id) {
-                *seq += 1;
-                fns[fidx].sites.push(Site { line, seq: *seq, kind: SiteKind::PanicMacro(m) });
-            }
-            return i + 2;
-        }
-        // Ambient entropy / unordered containers are single idents.
-        if ENTROPY_IDENTS.contains(&id) {
-            *seq += 1;
-            fns[fidx].sites.push(Site {
-                line,
-                seq: *seq,
-                kind: SiteKind::AmbientEntropy(id.to_string()),
-            });
-            return i + 1;
-        }
-        if id == "HashMap" || id == "HashSet" {
-            *seq += 1;
-            fns[fidx].sites.push(Site {
-                line,
-                seq: *seq,
-                kind: SiteKind::UnorderedContainer(id.to_string()),
-            });
-            return i + 1;
-        }
-        // Path expression: `a::b::name(` / `Instant::now(` / `name(`.
-        // Only consider path *starts* (previous token is not `.`/`::`).
-        let prev_sep = is_punct(toks, i.wrapping_sub(1), '.')
-            || (is_punct(toks, i.wrapping_sub(1), ':') && i > 0);
-        // `crate::`/`super::`/`self::` are keyword-led path starts.
-        let keyword_path_start = matches!(id, "crate" | "super")
-            || (id == "self" && is_punct(toks, i + 1, ':') && is_punct(toks, i + 2, ':'));
-        if !prev_sep && (!is_keyword(id) || keyword_path_start) {
-            let mut segs = vec![id.to_string()];
-            let mut j = i + 1;
-            while is_punct(toks, j, ':') && is_punct(toks, j + 1, ':') {
-                if is_punct(toks, j + 2, '<') {
-                    // Turbofish ends the segment list.
-                    if let Some(k) = skip_angles(toks, j + 2) {
-                        j = k;
-                    }
-                    break;
-                }
-                match ident_at(toks, j + 2) {
-                    Some(s) if !is_keyword(s) => {
-                        segs.push(s.to_string());
-                        j += 3;
-                    }
-                    _ => break,
-                }
-            }
-            // Ambient-time sites are path pairs, call or not.
-            if segs.len() >= 2 && segs[segs.len() - 1] == "now" {
-                let base = &segs[segs.len() - 2];
-                if base == "Instant" || base == "SystemTime" {
-                    *seq += 1;
-                    let d = if base == "Instant" { "Instant" } else { "SystemTime" };
-                    fns[fidx].sites.push(Site { line, seq: *seq, kind: SiteKind::AmbientTime(d) });
-                    return j;
-                }
-            }
-            if is_punct(toks, j, '(') && !is_punct(toks, j.wrapping_sub(1), '!') {
-                *seq += 1;
-                let target = if segs.len() == 2 && segs[0] == "Self" {
-                    CallTarget::SelfMethod(segs[1].clone())
-                } else {
-                    CallTarget::Path(segs)
-                };
-                fns[fidx].calls.push(Call { line, seq: *seq, target });
-                return j + 1;
-            }
-            return j.max(i + 1);
-        }
+    let Some(id) = ident_at(toks, i) else { return i + 1 };
+    // Macro invocation: `name!` produces no edges (macro bodies are
+    // opaque).
+    if is_punct(toks, i + 1, '!') {
+        return i + 2;
+    }
+    // Path expression: `a::b::name(` / `Type::assoc(` / `name(`. Only
+    // consider path *starts* (previous token is not `.`/`::`).
+    let prev_sep =
+        is_punct(toks, i.wrapping_sub(1), '.') || (is_punct(toks, i.wrapping_sub(1), ':') && i > 0);
+    // `crate::`/`super::`/`self::` are keyword-led path starts.
+    let keyword_path_start = matches!(id, "crate" | "super")
+        || (id == "self" && is_punct(toks, i + 1, ':') && is_punct(toks, i + 2, ':'));
+    if prev_sep || (is_keyword(id) && !keyword_path_start) {
         return i + 1;
     }
-
-    // Indexing: `expr[` where expr just ended in an ident, `)` or `]`.
-    if is_punct(toks, i, '[') {
-        let indexable = match toks.get(i.wrapping_sub(1)).map(|t| &t.tok) {
-            Some(Tok::Ident(s)) => !is_keyword(s),
-            Some(Tok::Punct(')')) | Some(Tok::Punct(']')) => true,
-            _ => false,
-        };
-        if indexable {
-            *seq += 1;
-            fns[fidx].sites.push(Site { line, seq: *seq, kind: SiteKind::Index });
+    let mut segs = vec![id.to_string()];
+    let mut j = i + 1;
+    while is_punct(toks, j, ':') && is_punct(toks, j + 1, ':') {
+        if is_punct(toks, j + 2, '<') {
+            // Turbofish ends the segment list.
+            if let Some(k) = skip_angles(toks, j + 2) {
+                j = k;
+            }
+            break;
+        }
+        match ident_at(toks, j + 2) {
+            Some(s) if !is_keyword(s) => {
+                segs.push(s.to_string());
+                j += 3;
+            }
+            _ => break,
         }
     }
-    i + 1
+    if is_punct(toks, j, '(') && !is_punct(toks, j.wrapping_sub(1), '!') {
+        *seq += 1;
+        let target = if segs.len() == 2 && segs[0] == "Self" {
+            CallTarget::SelfMethod(segs[1].clone())
+        } else {
+            CallTarget::Path(segs)
+        };
+        fns[fidx].calls.push(Call { line, seq: *seq, target });
+        return j + 1;
+    }
+    j.max(i + 1)
 }
 
 /// Resolves the receiver of `<recv>.lock()` at the `.` before `lock`.
@@ -732,9 +912,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse(path: &str, src: &str) -> ParsedFile {
-        let lexed = lex(src);
-        let ctx = FileContext::classify(path, &lexed);
-        parse_file(path, &lexed, &ctx)
+        parse_file(path, &lex(src))
     }
 
     fn one(src: &str) -> FnItem {
@@ -831,6 +1009,34 @@ mod tests {
     }
 
     #[test]
+    fn sites_outside_fn_bodies_belong_to_the_file() {
+        // A struct field, an import, and a body behind a header the
+        // parser gives up on: no fn item, every site still recorded.
+        let src =
+            "struct S { m: HashMap<u8, u8> }\nuse rand::rngs::OsRng;\nfn (v: X) { v.unwrap(); }";
+        let p = parse("crates/serve/src/x.rs", src);
+        assert!(p.fns.is_empty(), "{:?}", p.fns);
+        let kinds: Vec<&SiteKind> = p.sites.iter().map(|s| &s.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                &SiteKind::UnorderedContainer("HashMap".into()),
+                &SiteKind::AmbientEntropy("OsRng".into()),
+                &SiteKind::PanicUnwrap("unwrap"),
+            ]
+        );
+    }
+
+    #[test]
+    fn stage_facts_cover_nested_fns() {
+        let src = "fn outer(o: &Obs) { fn inner(o: &Obs) { o.span(1); } self.tracer.hop(); }";
+        let p = parse("crates/serve/src/service.rs", src);
+        let facts: Vec<(&str, bool, bool)> =
+            p.fns.iter().map(|f| (f.name.as_str(), f.opens_span, f.touches_tracer)).collect();
+        assert_eq!(facts, vec![("inner", true, false), ("outer", true, true)]);
+    }
+
+    #[test]
     fn lock_spans_follow_block_scope() {
         let src =
             "impl Gate { fn f(&self) { { let g = self.inner.lock(); g.touch(); } self.after(); } }";
@@ -916,9 +1122,7 @@ mod tests {
             "fn f() { { { .lock() } }",
             "impl X { fn a() { \"unterminated",
         ] {
-            let lexed = lex(src);
-            let ctx = FileContext::classify("crates/serve/src/x.rs", &lexed);
-            let _ = parse_file("crates/serve/src/x.rs", &lexed, &ctx);
+            let _ = parse_file("crates/serve/src/x.rs", &lex(src));
         }
     }
 }

@@ -1,11 +1,11 @@
-//! The rule catalog and the per-file rule engine.
+//! The rule catalog, the named path scopes, and the per-file rules.
 //!
-//! Every rule is a token-level pattern plus a path scope. Scopes are
-//! deliberately coarse (path prefixes, forward slashes, relative to the
-//! workspace root) — the point is to guard the crates whose *outputs*
-//! must replay byte-identically, not to model the type system. Matching
-//! happens on the [`crate::lexer`] token stream, so patterns inside
-//! comments, strings, and raw strings can never fire.
+//! The per-file rules do not scan tokens themselves: the item parser
+//! ([`crate::parse`]) records every site once, inside fn bodies and
+//! outside them, and [`check_file`] looks each one up — site kind to
+//! rule and message, kept when the file is in the rule's [`Scope`] and
+//! the line is not exempt test code. The lexer drops comments, strings,
+//! and raw strings, so patterns inside them can never fire.
 //!
 //! | rule | guards against |
 //! |------|----------------|
@@ -13,18 +13,18 @@
 //! | `no-ambient-time` | `Instant::now`/`SystemTime::now` outside the obs clock seam |
 //! | `no-ambient-entropy` | `thread_rng`/`from_entropy`/`OsRng`/`getrandom` — all RNGs must be seeded |
 //! | `no-unordered-iteration` | `HashMap`/`HashSet` in crates that serialise ordered output |
-//! | `no-panic-in-fallible` | `unwrap`/`expect`/`panic!`-family on non-test runtime paths of serve/store/chaos/net |
+//! | `no-panic-in-fallible` | `unwrap`/`expect`/`panic!`-family on non-test runtime paths of the service crates |
 //! | `no-direct-failpoint-bypass` | direct `std::fs`/`File`/`OpenOptions` I/O in serve, bypassing the store's `set_fault_hook` seam |
 //! | `no-unbounded-channel` | `VecDeque::new`/`LinkedList::new`/`mpsc::channel` queues on the network ingest path — every buffer a peer can fill must be born bounded |
 //! | `no-untraced-stage` | stage functions in serve's service.rs that open an obs span without touching the causal tracer — metrics and traces must cover the same stages |
 //! | `no-unordered-join` | `try_iter`/`try_recv`/iterating a receiver in the parallel runtime — results must be joined by a counted blocking barrier, in slot order, never in arrival order |
 //!
 //! Three further rules — `reachable-panic`, `nondet-taint`,
-//! `lock-order-cycle` — are produced by the interprocedural engine in
-//! [`crate::dataflow`], not by this per-file engine; they live in the
-//! same catalog so `allow(...)` validation and `--rules` cover them.
+//! `lock-order-cycle` — are produced by the interprocedural passes in
+//! [`crate::dataflow`] from the same parse; they live in the same
+//! catalog so `allow(...)` validation and `--rules` cover them.
 
-use crate::lexer::{LexFile, Tok, Token};
+use crate::parse::{ParsedFile, Site, SiteKind};
 
 /// A single diagnostic before suppression/baseline filtering.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,6 +37,137 @@ pub struct RawFinding {
     pub message: String,
 }
 
+// ---- path scopes ----------------------------------------------------
+
+/// A named set of workspace-relative paths (forward slashes) that a
+/// rule, or a dataflow site kind, applies to. Scopes are deliberately
+/// coarse: they guard the crates whose *outputs* must replay
+/// byte-identically, not the type system.
+#[derive(Debug)]
+pub struct Scope {
+    /// Name printed by `--rules`.
+    pub name: &'static str,
+    /// Paths in scope: a pattern ending in `/` is a directory prefix,
+    /// any other pattern is one file. Empty means every path.
+    pub only: &'static [&'static str],
+    /// Patterns carved back out of `only`.
+    pub except: &'static [&'static str],
+}
+
+impl Scope {
+    /// Whether `path` is in this scope.
+    pub fn contains(&self, path: &str) -> bool {
+        let hit = |p: &&str| if p.ends_with('/') { path.starts_with(*p) } else { path == *p };
+        (self.only.is_empty() || self.only.iter().any(hit)) && !self.except.iter().any(hit)
+    }
+
+    /// The paths, as `--rules` prints them.
+    pub fn describe(&self) -> String {
+        let only =
+            if self.only.is_empty() { "every path".to_string() } else { self.only.join(", ") };
+        if self.except.is_empty() {
+            only
+        } else {
+            format!("{only} except {}", self.except.join(", "))
+        }
+    }
+}
+
+/// Every path.
+pub const EVERYWHERE: Scope = Scope { name: "everywhere", only: &[], except: &[] };
+
+/// The replayed pipeline: bench binaries and examples measure wall time
+/// legitimately, and the lint tool itself is not part of the pipeline.
+pub const PIPELINE: Scope =
+    Scope { name: "pipeline", only: &[], except: &["crates/bench/", "examples/", "crates/lint/"] };
+
+/// Crates whose outputs are serialised in order and byte-compared.
+pub const ORDERED_OUTPUT: Scope = Scope {
+    name: "ordered-output",
+    only: &[
+        "crates/serve/src/",
+        "crates/store/src/",
+        "crates/obs/src/",
+        "crates/net/src/",
+        "crates/trace/src/",
+        "crates/grid/src/",
+        "crates/par/src/",
+        "crates/bench/src/bin/repro.rs",
+    ],
+    except: &[],
+};
+
+/// Runtime paths that must surface typed errors instead of panicking.
+pub const NO_PANIC: Scope = Scope {
+    name: "no-panic",
+    only: &[
+        "crates/serve/src/",
+        "crates/store/src/",
+        "crates/chaos/src/",
+        "crates/net/src/",
+        "crates/trace/src/",
+        "crates/grid/src/",
+    ],
+    except: &[],
+};
+
+/// Where slice indexing counts as a `reachable-panic` site: the service
+/// crates, whose contract is "no panics on runtime paths". The numeric
+/// kernels in ml/features/core index behind length invariants as a
+/// matter of course; their `unwrap`/`expect`/`panic!` still count
+/// everywhere.
+pub const INDEX: Scope = Scope {
+    name: "index",
+    only: &[
+        "crates/serve/",
+        "crates/store/",
+        "crates/chaos/",
+        "crates/net/",
+        "crates/trace/",
+        "crates/grid/",
+        "crates/par/",
+    ],
+    except: &[],
+};
+
+/// Serve, whose persistence must cross the store's failpoint seam.
+pub const SERVE_IO: Scope = Scope { name: "serve-io", only: &["crates/serve/src/"], except: &[] };
+
+/// The network ingest path: buffers here are fillable by a remote peer,
+/// so every queue must be born with an explicit capacity.
+pub const NET_INGEST: Scope = Scope {
+    name: "net-ingest",
+    only: &["crates/net/src/", "crates/serve/src/ingest.rs"],
+    except: &[],
+};
+
+/// The serve tick pipeline: the one file where obs stage spans and
+/// alba-trace hops must move in lockstep.
+pub const TRACED_STAGE: Scope =
+    Scope { name: "traced-stage", only: &["crates/serve/src/service.rs"], except: &[] };
+
+/// Code that joins worker results. Arrival-order consumption makes the
+/// merge order scheduler-dependent, which is exactly the
+/// non-determinism the epoch barrier exists to prevent.
+pub const JOIN: Scope = Scope {
+    name: "join",
+    only: &["crates/par/src/", "crates/serve/src/service.rs", "crates/grid/src/runner.rs"],
+    except: &[],
+};
+
+/// Whole files that are test context: integration tests, benches,
+/// examples, and `testutil.rs` helpers.
+pub fn is_test_file(path: &str) -> bool {
+    path.starts_with("tests/")
+        || path.contains("/tests/")
+        || path.contains("/benches/")
+        || path.starts_with("examples/")
+        || path.contains("/examples/")
+        || path.ends_with("/testutil.rs")
+}
+
+// ---- the catalog ----------------------------------------------------
+
 /// Static description of one rule (the catalog entry).
 #[derive(Clone, Copy, Debug)]
 pub struct RuleInfo {
@@ -44,6 +175,10 @@ pub struct RuleInfo {
     pub name: &'static str,
     /// One-line description for `--rules` and the docs.
     pub summary: &'static str,
+    /// The paths the rule fires in.
+    pub scope: &'static Scope,
+    /// Whether test code (test files, `#[cfg(test)]` items) is exempt.
+    pub tests_exempt: bool,
 }
 
 /// The full rule catalog, in reporting order.
@@ -51,567 +186,201 @@ pub const CATALOG: &[RuleInfo] = &[
     RuleInfo {
         name: "no-float-partial-cmp",
         summary: "float ordering must use total_cmp; partial_cmp().unwrap()/expect() panics on NaN",
+        scope: &EVERYWHERE,
+        tests_exempt: false,
     },
     RuleInfo {
         name: "no-ambient-time",
         summary: "Instant::now/SystemTime::now only inside the obs clock seam (crates/obs/src/clock.rs)",
+        scope: &PIPELINE,
+        tests_exempt: false,
     },
     RuleInfo {
         name: "no-ambient-entropy",
         summary: "thread_rng/from_entropy/OsRng/getrandom forbidden; every RNG must be explicitly seeded",
+        scope: &EVERYWHERE,
+        tests_exempt: false,
     },
     RuleInfo {
         name: "no-unordered-iteration",
-        summary: "HashMap/HashSet forbidden in serve/store/obs/repro; use BTreeMap/BTreeSet or justify lookup-only use",
+        summary: "HashMap/HashSet forbidden where output is serialised in order; use BTreeMap/BTreeSet or justify lookup-only use",
+        scope: &ORDERED_OUTPUT,
+        tests_exempt: true,
     },
     RuleInfo {
         name: "no-panic-in-fallible",
-        summary: "unwrap/expect/panic!/unreachable!/todo!/unimplemented! forbidden on non-test serve/store/chaos runtime paths",
+        summary: "unwrap/expect/panic!/unreachable!/todo!/unimplemented! forbidden on non-test service runtime paths",
+        scope: &NO_PANIC,
+        tests_exempt: true,
     },
     RuleInfo {
         name: "no-direct-failpoint-bypass",
         summary: "serve must not do filesystem I/O directly; store I/O routes through alba-store and its set_fault_hook seam",
+        scope: &SERVE_IO,
+        tests_exempt: true,
     },
     RuleInfo {
         name: "no-unbounded-channel",
         summary: "VecDeque::new/LinkedList::new/mpsc::channel forbidden on the network ingest path; queues a peer can fill must use with_capacity plus an enforced bound",
+        scope: &NET_INGEST,
+        tests_exempt: true,
     },
     RuleInfo {
         name: "no-untraced-stage",
         summary: "a serve service.rs function that opens an obs stage span must also record alba-trace hops, so causal traces cover every stage the metrics cover",
+        scope: &TRACED_STAGE,
+        tests_exempt: true,
     },
     RuleInfo {
         name: "no-unordered-join",
         summary: "try_iter/try_recv/iterating a receiver forbidden in the parallel runtime; join worker results with a counted blocking recv and reorder by slot, never by arrival",
+        scope: &JOIN,
+        tests_exempt: true,
     },
     RuleInfo {
         name: "reachable-panic",
         summary: "interprocedural: no unwrap/expect/panic!-family/indexing transitively reachable from the hot-path roots (FleetService::tick, par epoch/workers, gateway poll, grid workers); reported with the full call chain",
+        scope: &EVERYWHERE,
+        tests_exempt: true,
     },
     RuleInfo {
         name: "nondet-taint",
         summary: "interprocedural: ambient time/entropy and unordered containers must not be reachable from fns whose output is journaled (obs events/exposition, traces, model serialisation)",
+        scope: &EVERYWHERE,
+        tests_exempt: true,
     },
     RuleInfo {
         name: "lock-order-cycle",
         summary: "interprocedural: the lock-acquisition-order graph over Type::field lock identities must be acyclic; a cycle is a deadlock candidate",
+        scope: &EVERYWHERE,
+        tests_exempt: true,
     },
 ];
 
+/// Every named scope, as `--rules` lists them.
+pub const SCOPES: &[&Scope] = &[
+    &EVERYWHERE,
+    &PIPELINE,
+    &ORDERED_OUTPUT,
+    &NO_PANIC,
+    &INDEX,
+    &SERVE_IO,
+    &NET_INGEST,
+    &TRACED_STAGE,
+    &JOIN,
+];
+
+/// The catalog entry for `name`.
+fn rule_info(name: &str) -> Option<&'static RuleInfo> {
+    CATALOG.iter().find(|r| r.name == name)
+}
+
 /// True when `name` is a known rule (for validating `allow(...)` lists).
 pub fn is_known_rule(name: &str) -> bool {
-    name == crate::suppress::BAD_SUPPRESSION || CATALOG.iter().any(|r| r.name == name)
+    name == crate::suppress::BAD_SUPPRESSION || rule_info(name).is_some()
 }
 
-/// File-classification facts the rules scope on.
-#[derive(Clone, Debug)]
-pub struct FileContext {
-    /// Workspace-relative path with forward slashes.
-    pub path: String,
-    /// First line of the file's `#[cfg(test)]` region, if any.
-    pub test_from_line: Option<u32>,
-    /// True when the whole file is test/bench/example context.
-    pub all_test: bool,
+// ---- the per-file rules ---------------------------------------------
+
+/// The per-file rule that reports a site of this kind, if any.
+fn site_rule(kind: &SiteKind) -> Option<&'static str> {
+    Some(match kind {
+        SiteKind::FloatPartialCmp => "no-float-partial-cmp",
+        SiteKind::AmbientTime(_) => "no-ambient-time",
+        SiteKind::AmbientEntropy(_) => "no-ambient-entropy",
+        SiteKind::UnorderedContainer(_) => "no-unordered-iteration",
+        SiteKind::PanicUnwrap(_) | SiteKind::PanicMacro(_) => "no-panic-in-fallible",
+        SiteKind::FsIo(_) => "no-direct-failpoint-bypass",
+        SiteKind::UnboundedQueue(_) => "no-unbounded-channel",
+        SiteKind::ArrivalJoin(_) | SiteKind::ReceiverLoop(_) => "no-unordered-join",
+        SiteKind::Index => return None,
+    })
 }
 
-impl FileContext {
-    /// Classifies `path` (workspace-relative, forward slashes).
-    pub fn classify(path: &str, lexed: &LexFile) -> Self {
-        let all_test = path.starts_with("tests/")
-            || path.contains("/tests/")
-            || path.contains("/benches/")
-            || path.starts_with("examples/")
-            || path.contains("/examples/")
-            || path.ends_with("/testutil.rs");
-        Self { path: path.to_string(), test_from_line: find_cfg_test(lexed), all_test }
-    }
-
-    /// True when `line` sits in test context (whole-file or trailing
-    /// `#[cfg(test)]` region).
-    pub fn is_test_line(&self, line: u32) -> bool {
-        self.all_test || self.test_from_line.is_some_and(|from| line >= from)
-    }
-}
-
-/// Finds the line of the first `#[cfg(... test ...)]` attribute. The
-/// repo convention keeps test modules at the end of each file, so
-/// everything from that line onward is treated as test code.
-fn find_cfg_test(lexed: &LexFile) -> Option<u32> {
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        if !(is_punct(toks, i, '#') && is_punct(toks, i + 1, '[') && is_ident(toks, i + 2, "cfg")) {
-            continue;
+/// The message a site reports under its [`site_rule`].
+fn site_message(kind: &SiteKind) -> String {
+    match kind {
+        SiteKind::FloatPartialCmp => {
+            "partial_cmp().unwrap()/expect() panics on NaN; order floats with total_cmp".to_string()
         }
-        // Scan the attribute's (...) group for a `test` ident.
-        let mut depth = 0i32;
-        for t in &toks[i + 3..] {
-            match &t.tok {
-                Tok::Punct('(') => depth += 1,
-                Tok::Punct(')') => {
-                    depth -= 1;
-                    if depth <= 0 {
-                        break;
-                    }
-                }
-                Tok::Punct(']') if depth == 0 => break,
-                Tok::Ident(s) if s == "test" && depth >= 1 => return Some(toks[i].line),
-                _ => {}
-            }
-        }
+        SiteKind::AmbientTime(src) => format!(
+            "{src}::now() is ambient time; route through the alba-obs Clock seam \
+             (WallClock/TickClock) so replays stay byte-identical"
+        ),
+        SiteKind::AmbientEntropy(s) => format!(
+            "`{s}` draws ambient entropy; derive every RNG from an explicit seed \
+             (SeedableRng::seed_from_u64)"
+        ),
+        SiteKind::UnorderedContainer(s) => format!(
+            "`{s}` iteration order is seeded by ambient RandomState; in a crate \
+             that serialises ordered output use BTreeMap/BTreeSet, sort before \
+             emitting, or justify a lookup-only use with an allow"
+        ),
+        SiteKind::PanicUnwrap(what) => format!(
+            "`.{what}()` on a runtime path; return a typed error (or justify an \
+             infallible-by-construction case with an allow)"
+        ),
+        SiteKind::PanicMacro(mac) => format!(
+            "`{mac}!` on a runtime path; surface a typed error instead of \
+             crashing the service"
+        ),
+        SiteKind::FsIo(what) => format!(
+            "direct `{what}` I/O in serve bypasses the store's set_fault_hook \
+             failpoint seam; route persistence through alba-store APIs"
+        ),
+        SiteKind::UnboundedQueue(what) => format!(
+            "`{what}` creates an unbounded queue on the network ingest path; a \
+             hostile or bursty peer can grow it without limit — use with_capacity \
+             and shed (BUSY) past the bound, or justify with an allow"
+        ),
+        SiteKind::ArrivalJoin(what) => format!(
+            "`.{what}()` consumes worker results in arrival order; join with a \
+             counted blocking recv and reorder by slot index so the merge is \
+             scheduler-independent"
+        ),
+        SiteKind::ReceiverLoop(rx) => format!(
+            "`for … in` over receiver `{rx}` drains results in completion \
+             order; use a counted blocking recv loop and reorder by slot \
+             index instead"
+        ),
+        SiteKind::Index => String::new(),
     }
-    None
 }
 
-fn is_ident(toks: &[Token], i: usize, name: &str) -> bool {
-    matches!(toks.get(i), Some(Token { tok: Tok::Ident(s), .. }) if s == name)
-}
-
-fn is_punct(toks: &[Token], i: usize, c: char) -> bool {
-    matches!(toks.get(i), Some(Token { tok: Tok::Punct(p), .. }) if *p == c)
-}
-
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i) {
-        Some(Token { tok: Tok::Ident(s), .. }) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-/// `a :: b` at position `i` (the `a` ident).
-fn is_path_pair(toks: &[Token], i: usize, a: &str, b: &str) -> bool {
-    is_ident(toks, i, a)
-        && is_punct(toks, i + 1, ':')
-        && is_punct(toks, i + 2, ':')
-        && is_ident(toks, i + 3, b)
-}
-
-/// Index just past the `)` matching the `(` at `open` (which must be a
-/// `(`), or `None` when unbalanced.
-fn skip_parens(toks: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        match t.tok {
-            Tok::Punct('(') => depth += 1,
-            Tok::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j + 1);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Marks which token indices sit inside a `use ...;` item, so type
-/// *imports* don't trip the unordered-container rule.
-fn use_statement_mask(toks: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
-    let mut in_use = false;
-    for (i, t) in toks.iter().enumerate() {
-        match &t.tok {
-            Tok::Ident(s) if s == "use" && !in_use => in_use = true,
-            Tok::Punct(';') if in_use => {
-                in_use = false;
-                continue;
-            }
-            _ => {}
-        }
-        mask[i] = in_use;
-    }
-    mask
-}
-
-// ---- path scopes ----------------------------------------------------
-
-fn in_pipeline_scope(path: &str) -> bool {
-    // Bench binaries and examples measure wall time legitimately; the
-    // lint tool itself is not part of the replayed pipeline.
-    !(path.starts_with("crates/bench/")
-        || path.starts_with("examples/")
-        || path.starts_with("crates/lint/"))
-}
-
-fn in_ordered_output_scope(path: &str) -> bool {
-    path.starts_with("crates/serve/src/")
-        || path.starts_with("crates/store/src/")
-        || path.starts_with("crates/obs/src/")
-        || path.starts_with("crates/net/src/")
-        || path.starts_with("crates/trace/src/")
-        || path.starts_with("crates/grid/src/")
-        || path.starts_with("crates/par/src/")
-        || path == "crates/bench/src/bin/repro.rs"
-}
-
-fn in_no_panic_scope(path: &str) -> bool {
-    path.starts_with("crates/serve/src/")
-        || path.starts_with("crates/store/src/")
-        || path.starts_with("crates/chaos/src/")
-        || path.starts_with("crates/net/src/")
-        || path.starts_with("crates/trace/src/")
-        || path.starts_with("crates/grid/src/")
-}
-
-/// The network ingest path: buffers here are fillable by a remote peer,
-/// so every queue must be born with an explicit capacity.
-fn in_net_ingest_scope(path: &str) -> bool {
-    path.starts_with("crates/net/src/") || path == "crates/serve/src/ingest.rs"
-}
-
-fn in_serve_io_scope(path: &str) -> bool {
-    path.starts_with("crates/serve/src/")
-}
-
-/// The serve tick pipeline: the one file where obs stage spans and
-/// alba-trace hops must move in lockstep.
-fn in_traced_stage_scope(path: &str) -> bool {
-    path == "crates/serve/src/service.rs"
-}
-
-/// The parallel runtime: code that joins worker results. Arrival-order
-/// consumption (`try_iter`, `try_recv`, looping over a receiver) makes
-/// the merge order scheduler-dependent, which is exactly the
-/// non-determinism the epoch barrier exists to prevent.
-fn in_join_scope(path: &str) -> bool {
-    path.starts_with("crates/par/src/")
-        || path == "crates/serve/src/service.rs"
-        || path == "crates/grid/src/runner.rs"
-}
-
-// ---- the engine -----------------------------------------------------
-
-/// Runs every rule over one lexed file. Suppressions are NOT applied
-/// here — the caller filters (so it can also count suppressed findings).
-pub fn check_file(ctx: &FileContext, lexed: &LexFile) -> Vec<RawFinding> {
-    let toks = &lexed.tokens;
+/// Runs every per-file rule over one parsed file. Suppressions are NOT
+/// applied here — the caller filters (so it can also count suppressed
+/// findings).
+pub fn check_file(path: &str, file: &ParsedFile) -> Vec<RawFinding> {
+    let applies = |rule: &str, line: u32| {
+        rule_info(rule)
+            .is_some_and(|r| r.scope.contains(path) && !(r.tests_exempt && file.is_test_line(line)))
+    };
     let mut out = Vec::new();
 
-    // no-float-partial-cmp: `.partial_cmp( ... ).unwrap()` / `.expect(`.
-    for i in 0..toks.len() {
-        if !(is_punct(toks, i, '.') && is_ident(toks, i + 1, "partial_cmp")) {
-            continue;
+    // Sites in source order, so same-line findings keep token order.
+    let mut sites: Vec<&Site> = file.fns.iter().flat_map(|f| &f.sites).chain(&file.sites).collect();
+    sites.sort_by_key(|s| s.seq);
+    for site in sites {
+        if let Some(rule) = site_rule(&site.kind).filter(|r| applies(r, site.line)) {
+            out.push(RawFinding { rule, line: site.line, message: site_message(&site.kind) });
         }
-        let Some(after) = skip_parens(toks, i + 2) else { continue };
-        if is_punct(toks, after, '.')
-            && (is_ident(toks, after + 1, "unwrap") || is_ident(toks, after + 1, "expect"))
-        {
+    }
+
+    // no-untraced-stage: a fn that opens an obs stage span must also
+    // touch the causal tracer — otherwise the stage is visible to
+    // metrics but invisible to trace replay.
+    for f in &file.fns {
+        if f.opens_span && !f.touches_tracer && applies("no-untraced-stage", f.line) {
             out.push(RawFinding {
-                rule: "no-float-partial-cmp",
-                line: toks[i + 1].line,
-                message:
-                    "partial_cmp().unwrap()/expect() panics on NaN; order floats with total_cmp"
-                        .to_string(),
+                rule: "no-untraced-stage",
+                line: f.line,
+                message: format!(
+                    "`{}` opens an obs stage span but never records an alba-trace hop; \
+                     every pipeline stage must appear in the causal trace (record a hop, or \
+                     justify a metrics-only stage with an allow)",
+                    f.name
+                ),
             });
-        }
-    }
-
-    // no-ambient-time: `Instant::now` / `SystemTime::now`.
-    if in_pipeline_scope(&ctx.path) {
-        for i in 0..toks.len() {
-            for src in ["Instant", "SystemTime"] {
-                if is_path_pair(toks, i, src, "now") {
-                    out.push(RawFinding {
-                        rule: "no-ambient-time",
-                        line: toks[i].line,
-                        message: format!(
-                            "{src}::now() is ambient time; route through the alba-obs Clock seam \
-                             (WallClock/TickClock) so replays stay byte-identical"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    // no-ambient-entropy: unseeded RNG sources, everywhere.
-    for (i, t) in toks.iter().enumerate() {
-        if let Tok::Ident(s) = &t.tok {
-            if matches!(s.as_str(), "thread_rng" | "from_entropy" | "OsRng" | "getrandom") {
-                out.push(RawFinding {
-                    rule: "no-ambient-entropy",
-                    line: toks[i].line,
-                    message: format!(
-                        "`{s}` draws ambient entropy; derive every RNG from an explicit seed \
-                         (SeedableRng::seed_from_u64)"
-                    ),
-                });
-            }
-        }
-    }
-
-    // no-unordered-iteration: HashMap/HashSet outside `use` items, in
-    // crates whose outputs are order-sensitive; test code exempt.
-    if in_ordered_output_scope(&ctx.path) {
-        let mask = use_statement_mask(toks);
-        for (i, t) in toks.iter().enumerate() {
-            if mask[i] || ctx.is_test_line(t.line) {
-                continue;
-            }
-            if let Tok::Ident(s) = &t.tok {
-                if s == "HashMap" || s == "HashSet" {
-                    out.push(RawFinding {
-                        rule: "no-unordered-iteration",
-                        line: t.line,
-                        message: format!(
-                            "`{s}` iteration order is seeded by ambient RandomState; in a crate \
-                             that serialises ordered output use BTreeMap/BTreeSet, sort before \
-                             emitting, or justify a lookup-only use with an allow"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    // no-panic-in-fallible: `.unwrap()`/`.expect(` + panic!-family on
-    // non-test runtime paths of serve/store/chaos.
-    if in_no_panic_scope(&ctx.path) {
-        for i in 0..toks.len() {
-            let line = match toks.get(i) {
-                Some(t) => t.line,
-                None => continue,
-            };
-            if ctx.is_test_line(line) {
-                continue;
-            }
-            if is_punct(toks, i, '.')
-                && is_punct(toks, i + 2, '(')
-                && (is_ident(toks, i + 1, "unwrap") || is_ident(toks, i + 1, "expect"))
-            {
-                let what = ident_at(toks, i + 1).unwrap_or("unwrap");
-                out.push(RawFinding {
-                    rule: "no-panic-in-fallible",
-                    line: toks[i + 1].line,
-                    message: format!(
-                        "`.{what}()` on a runtime path; return a typed error (or justify an \
-                         infallible-by-construction case with an allow)"
-                    ),
-                });
-            }
-            if is_punct(toks, i + 1, '!') {
-                if let Some(mac) = ident_at(toks, i) {
-                    if matches!(mac, "panic" | "unreachable" | "todo" | "unimplemented") {
-                        out.push(RawFinding {
-                            rule: "no-panic-in-fallible",
-                            line,
-                            message: format!(
-                                "`{mac}!` on a runtime path; surface a typed error instead of \
-                                 crashing the service"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // no-direct-failpoint-bypass: direct fs I/O in serve runtime code.
-    if in_serve_io_scope(&ctx.path) {
-        for i in 0..toks.len() {
-            let line = match toks.get(i) {
-                Some(t) => t.line,
-                None => continue,
-            };
-            if ctx.is_test_line(line) {
-                continue;
-            }
-            // `fs::read` only counts when `fs` starts the path, so the
-            // `std::fs::read` form is not reported twice.
-            let bare_fs =
-                is_path_pair(toks, i, "fs", "read") && !is_punct(toks, i.wrapping_sub(1), ':');
-            let hit = if is_path_pair(toks, i, "std", "fs") || bare_fs {
-                Some("std::fs")
-            } else if is_path_pair(toks, i, "File", "open")
-                || is_path_pair(toks, i, "File", "create")
-            {
-                Some("File::open/create")
-            } else if is_ident(toks, i, "OpenOptions") {
-                Some("OpenOptions")
-            } else {
-                None
-            };
-            if let Some(what) = hit {
-                out.push(RawFinding {
-                    rule: "no-direct-failpoint-bypass",
-                    line,
-                    message: format!(
-                        "direct `{what}` I/O in serve bypasses the store's set_fault_hook \
-                         failpoint seam; route persistence through alba-store APIs"
-                    ),
-                });
-            }
-        }
-    }
-
-    // no-unbounded-channel: growable queues born without a capacity on
-    // the network ingest path. `with_capacity` alone is only half the
-    // contract (the bound must also be enforced), but `new()` is the
-    // reliably-lintable half: a queue that never states its capacity
-    // certainly never checks it.
-    if in_net_ingest_scope(&ctx.path) {
-        for i in 0..toks.len() {
-            let line = match toks.get(i) {
-                Some(t) => t.line,
-                None => continue,
-            };
-            if ctx.is_test_line(line) {
-                continue;
-            }
-            let hit = if is_path_pair(toks, i, "VecDeque", "new") {
-                Some("VecDeque::new")
-            } else if is_path_pair(toks, i, "LinkedList", "new") {
-                Some("LinkedList::new")
-            } else if is_path_pair(toks, i, "mpsc", "channel") {
-                Some("mpsc::channel")
-            } else {
-                None
-            };
-            if let Some(what) = hit {
-                out.push(RawFinding {
-                    rule: "no-unbounded-channel",
-                    line,
-                    message: format!(
-                        "`{what}` creates an unbounded queue on the network ingest path; a \
-                         hostile or bursty peer can grow it without limit — use with_capacity \
-                         and shed (BUSY) past the bound, or justify with an allow"
-                    ),
-                });
-            }
-        }
-    }
-
-    // no-untraced-stage: a service.rs fn that opens an obs stage span
-    // (`.span(`) must also touch the causal tracer (a `tracer`, `hop`,
-    // or `trace_*` ident) somewhere in its body — otherwise the stage
-    // is visible to metrics but invisible to trace replay. The lexer
-    // drops string literals, so the check is identifier-shaped: find
-    // each fn body by brace matching and compare what it calls.
-    if in_traced_stage_scope(&ctx.path) {
-        let mut i = 0;
-        while i < toks.len() {
-            if !is_ident(toks, i, "fn") {
-                i += 1;
-                continue;
-            }
-            let fn_line = toks[i].line;
-            let fn_name = ident_at(toks, i + 1).unwrap_or("?").to_string();
-            // The body's opening brace; a `;` first means no body
-            // (trait method signature).
-            let mut j = i + 1;
-            let mut open = None;
-            while j < toks.len() {
-                match toks[j].tok {
-                    Tok::Punct('{') => {
-                        open = Some(j);
-                        break;
-                    }
-                    Tok::Punct(';') => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            let Some(open) = open else {
-                i = j.max(i + 1);
-                continue;
-            };
-            let mut depth = 0i32;
-            let mut end = toks.len();
-            for (k, t) in toks.iter().enumerate().skip(open) {
-                match t.tok {
-                    Tok::Punct('{') => depth += 1,
-                    Tok::Punct('}') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = k + 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let body = &toks[open..end];
-            let opens_span = (0..body.len()).any(|k| {
-                is_punct(body, k, '.')
-                    && is_ident(body, k + 1, "span")
-                    && is_punct(body, k + 2, '(')
-            });
-            let traced = body.iter().any(|t| {
-                matches!(&t.tok, Tok::Ident(s)
-                    if s == "tracer" || s == "hop" || s.starts_with("trace_"))
-            });
-            if opens_span && !traced && !ctx.is_test_line(fn_line) {
-                out.push(RawFinding {
-                    rule: "no-untraced-stage",
-                    line: fn_line,
-                    message: format!(
-                        "`{fn_name}` opens an obs stage span but never records an alba-trace hop; \
-                         every pipeline stage must appear in the causal trace (record a hop, or \
-                         justify a metrics-only stage with an allow)"
-                    ),
-                });
-            }
-            i = open + 1;
-        }
-    }
-
-    // no-unordered-join: arrival-order result consumption in the
-    // parallel runtime. `try_iter`/`try_recv` yield whatever has landed
-    // so far, and a `for` loop over a receiver drains in completion
-    // order — either way the merge order depends on the scheduler. The
-    // sanctioned shape is a counted loop of *blocking* `recv` calls
-    // that reorders results by slot index before anything downstream
-    // sees them.
-    if in_join_scope(&ctx.path) {
-        for i in 0..toks.len() {
-            let line = match toks.get(i) {
-                Some(t) => t.line,
-                None => continue,
-            };
-            if ctx.is_test_line(line) {
-                continue;
-            }
-            if is_punct(toks, i, '.')
-                && is_punct(toks, i + 2, '(')
-                && (is_ident(toks, i + 1, "try_iter") || is_ident(toks, i + 1, "try_recv"))
-            {
-                let what = ident_at(toks, i + 1).unwrap_or("try_recv");
-                out.push(RawFinding {
-                    rule: "no-unordered-join",
-                    line: toks[i + 1].line,
-                    message: format!(
-                        "`.{what}()` consumes worker results in arrival order; join with a \
-                         counted blocking recv and reorder by slot index so the merge is \
-                         scheduler-independent"
-                    ),
-                });
-            }
-            // `for <pat> in <expr> {` whose header names a receiver.
-            if is_ident(toks, i, "for") && !is_punct(toks, i + 1, '<') {
-                for t in &toks[i + 1..] {
-                    match &t.tok {
-                        Tok::Punct('{') | Tok::Punct(';') => break,
-                        Tok::Ident(s)
-                            if s == "rx"
-                                || s == "receiver"
-                                || s.ends_with("_rx")
-                                || s.starts_with("rx_") =>
-                        {
-                            out.push(RawFinding {
-                                rule: "no-unordered-join",
-                                line,
-                                message: format!(
-                                    "`for … in` over receiver `{s}` drains results in completion \
-                                     order; use a counted blocking recv loop and reorder by slot \
-                                     index instead"
-                                ),
-                            });
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-            }
         }
     }
 
@@ -623,11 +392,10 @@ pub fn check_file(ctx: &FileContext, lexed: &LexFile) -> Vec<RawFinding> {
 mod tests {
     use super::*;
     use crate::lexer::lex;
+    use crate::parse::parse_file;
 
     fn run(path: &str, src: &str) -> Vec<RawFinding> {
-        let lexed = lex(src);
-        let ctx = FileContext::classify(path, &lexed);
-        check_file(&ctx, &lexed)
+        check_file(path, &parse_file(path, &lex(src)))
     }
 
     fn rules_fired(path: &str, src: &str) -> Vec<&'static str> {
@@ -874,10 +642,21 @@ mod tests {
 
     #[test]
     fn cfg_test_region_detection_handles_nested_cfgs() {
-        let lexed = lex("fn f() {}\n#[cfg(all(test, feature = \"x\"))]\nmod tests {}\n");
-        assert_eq!(find_cfg_test(&lexed), Some(2));
-        let lexed2 = lex("#[cfg(feature = \"slow\")]\nmod slow {}\n");
-        assert_eq!(find_cfg_test(&lexed2), None);
+        let path = "crates/serve/src/x.rs";
+        let nested = lex("fn f() {}\n#[cfg(all(test, feature = \"x\"))]\nmod tests {}\n");
+        assert_eq!(parse_file(path, &nested).test_items, vec![(2, 3)]);
+        let other = lex("#[cfg(feature = \"slow\")]\nmod slow {}\n");
+        assert!(parse_file(path, &other).test_items.is_empty());
+    }
+
+    #[test]
+    fn cfg_test_exempts_only_the_item_it_annotates() {
+        // A test-only item ends at its closing brace; the live code
+        // after it is checked again.
+        let src =
+            "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn live() { y.unwrap(); }\n";
+        let fired = run("crates/store/src/x.rs", src);
+        assert_eq!(fired.iter().map(|f| f.line).collect::<Vec<_>>(), vec![5]);
     }
 
     #[test]

@@ -82,13 +82,13 @@ if [ "$FULL" = "1" ]; then
     fi
 
     echo "==> Miri (--full: alba-lint analysis passes under miri)"
-    # The linter's parser/call-graph/dataflow stack is pure in-memory
+    # The linter's parser/rules/call-graph/dataflow stack is pure in-memory
     # code — exactly what miri checks well. Gated on the component
     # actually being installed (offline images often lack it).
     if cargo +nightly miri --version >/dev/null 2>&1; then
         CARGO_TARGET_DIR=target/miri \
             cargo +nightly miri test -q -p alba-lint --lib -- \
-            lexer suppress parse callgraph dataflow
+            lexer suppress parse rules callgraph dataflow
     else
         echo "  miri unavailable on this toolchain — skipped"
     fi
@@ -526,8 +526,7 @@ import json
 bench = json.load(open("results/BENCH_lint.json"))
 assert bench["bench"] == "lint_throughput"
 assert bench["fns_analyzed"] > 300 and bench["call_edges"] > 300, bench
-for key in ("token_files_per_sec", "lint_files_per_sec", "lint_lines_per_sec",
-            "interproc_ns_per_fn"):
+for key in ("lint_files_per_sec", "lint_lines_per_sec", "interproc_ns_per_fn"):
     assert isinstance(bench[key], (int, float)) and bench[key] > 0, key
 print(f"  {bench['lint_files_per_sec']:.0f} files/s full pipeline over "
       f"{bench['fns_analyzed']} fns / {bench['call_edges']} call edges: OK")
