@@ -341,7 +341,7 @@ mod tests {
     use super::*;
     use crate::data::{FeatureMethod, System, SystemData};
     use crate::split::{prepare_split, SplitConfig};
-    use alba_features::Mvts;
+    use alba_features::{Mvts, TsFresh};
     use alba_ml::{Classifier, FittedModel, ForestParams, RandomForest};
     use alba_telemetry::{
         find_application, generate_run, AnomalyKind, Injection, NoiseConfig, RunConfig, Scale,
@@ -358,7 +358,12 @@ mod tests {
     /// Trains a small deployable model and returns everything a monitor
     /// needs.
     fn deployable() -> (Arc<DiagnosisModel>, FeatureView) {
-        let data = SystemData::generate(System::Volta, FeatureMethod::Mvts, Scale::Smoke, 61);
+        deployable_with(FeatureMethod::Mvts)
+    }
+
+    /// [`deployable`] on features of `method`, chi²-selected to the top 300.
+    fn deployable_with(method: FeatureMethod) -> (Arc<DiagnosisModel>, FeatureView) {
+        let data = SystemData::generate(System::Volta, method, Scale::Smoke, 61);
         let split = prepare_split(
             &data.dataset,
             &SplitConfig { train_fraction: 0.6, top_k_features: 300 },
@@ -491,10 +496,10 @@ mod tests {
     }
 
     /// The planned zero-copy row must be bit-identical to the
-    /// materialised `window_row` at every diagnosis point of a stream.
+    /// materialised `window_row` at every diagnosis point of a stream,
+    /// for both extractors' chi²-selected views.
     #[test]
     fn window_row_into_matches_window_row() {
-        let (model, view) = deployable();
         let campaign = System::Volta.campaign(Scale::Smoke, 61);
         let catalog = campaign.catalog();
         let run = generate_run(
@@ -512,32 +517,43 @@ mod tests {
             &NoiseConfig::testbed(),
         );
         let series = &run[0].series;
-        let mut monitor = NodeMonitor::new(
-            model,
-            Arc::new(Mvts),
-            series.metrics.clone(),
-            view,
-            MonitorConfig::default(),
-        );
-        let mut scratch = ExtractScratch::default();
-        let mut got = Vec::new();
-        let mut row = vec![0.0; series.n_metrics()];
-        let mut checked = 0;
-        for t in 0..series.len() {
-            for (m, r) in row.iter_mut().enumerate() {
-                *r = series.metric(m)[t];
-            }
-            if monitor.push(&row) {
-                let golden = monitor.window_row();
-                monitor.window_row_into(&mut scratch, &mut got);
-                assert_eq!(golden.len(), got.len());
-                for (i, (a, b)) in golden.iter().zip(&got).enumerate() {
-                    assert!(a.to_bits() == b.to_bits(), "t={t} col={i}: {a} vs {b}");
+        for method in [FeatureMethod::Mvts, FeatureMethod::TsFresh] {
+            let (model, view) = deployable_with(method);
+            let extractor: Arc<dyn FeatureExtractor + Send + Sync> = match method {
+                FeatureMethod::Mvts => Arc::new(Mvts),
+                FeatureMethod::TsFresh => Arc::new(TsFresh),
+            };
+            let mut monitor = NodeMonitor::new(
+                model,
+                extractor,
+                series.metrics.clone(),
+                view,
+                MonitorConfig::default(),
+            );
+            let mut scratch = ExtractScratch::default();
+            let mut got = Vec::new();
+            let mut row = vec![0.0; series.n_metrics()];
+            let mut checked = 0;
+            for t in 0..series.len() {
+                for (m, r) in row.iter_mut().enumerate() {
+                    *r = series.metric(m)[t];
                 }
-                checked += 1;
+                if monitor.push(&row) {
+                    let golden = monitor.window_row();
+                    monitor.window_row_into(&mut scratch, &mut got);
+                    assert_eq!(golden.len(), got.len());
+                    for (i, (a, b)) in golden.iter().zip(&got).enumerate() {
+                        assert!(
+                            a.to_bits() == b.to_bits(),
+                            "{} t={t} col={i}: {a} vs {b}",
+                            method.name()
+                        );
+                    }
+                    checked += 1;
+                }
             }
+            assert!(checked > 3, "stream produced enough windows to compare");
         }
-        assert!(checked > 3, "stream produced enough windows to compare");
     }
 
     fn catalog(n: usize) -> Vec<MetricDef> {

@@ -23,29 +23,17 @@ pub trait FeatureExtractor: Sync {
 
     /// Appends only the features at offsets `wanted` (each `<`
     /// [`FeatureExtractor::n_features_per_metric`]), in the given
-    /// order. Must be **bit-identical** to gathering those offsets from
-    /// [`FeatureExtractor::extract`]'s output.
-    ///
-    /// The default computes the full block into `scratch` and gathers —
-    /// correct for any extractor. Extractors whose features are
-    /// independent pure functions (e.g. [`Mvts`](crate::Mvts)) override
-    /// this to skip the unselected ones: with a chi-square-selected
-    /// view only a fraction of each metric's block is consumed, so
-    /// this is where the planned hot path stops paying for features
-    /// the model never sees. `scratch` is an extractor-private reusable
-    /// buffer (the default uses it for the full block; overrides may
-    /// repurpose it, e.g. for a sorted copy).
+    /// order. The result must be **bit-identical** to gathering those
+    /// offsets from [`FeatureExtractor::extract`]'s output. `scratch` is
+    /// an extractor-private buffer the caller reuses across calls; its
+    /// contents on entry are unspecified.
     fn extract_select(
         &self,
         series: &[f64],
         wanted: &[usize],
         scratch: &mut Vec<f64>,
         out: &mut Vec<f64>,
-    ) {
-        scratch.clear();
-        self.extract(series, scratch);
-        out.extend(wanted.iter().map(|&k| scratch[k]));
-    }
+    );
 }
 
 /// Preprocesses every sample and extracts per-metric features, producing a

@@ -4,9 +4,9 @@
 //! ([`MultiSeries`]), preprocess the clone, extract *every* metric's
 //! features (48–176 per metric) and then project the handful of
 //! selected columns the model actually consumes. At fleet scale that
-//! is the dominant cost: on the paper's catalogs the chi-square
-//! selection touches roughly half the metrics, so most of the work was
-//! thrown away.
+//! is the dominant cost: the served Volta TsFresh view (top 300 of
+//! 11 968 columns at default scale) touches 24 of the 68 metrics, so
+//! most of the work was thrown away.
 //!
 //! This module supplies the slice-based replacement:
 //!

@@ -8,8 +8,8 @@
 //! chunk aggregates, energy ratios, change-quantile corridors and Welch
 //! power-spectral-density coefficients — yielding 176 features per metric.
 //! The count difference against the published toolkit is documented in
-//! `EXPERIMENTS.md`; what matters for the reproduction is that this
-//! extractor is strictly richer than MVTS.
+//! `EXPERIMENTS.md` ("TSFRESH feature count"); what matters for the
+//! reproduction is that this extractor is strictly richer than MVTS.
 
 use crate::extract::FeatureExtractor;
 use crate::fft::{real_fft_magnitudes, welch_psd};
@@ -21,6 +21,15 @@ const PSD_SEGMENT: usize = 64;
 /// longer series are stride-subsampled (standard practice — ApEn is defined
 /// on short windows).
 const APEN_MAX_LEN: usize = 80;
+/// Histogram bin counts of the binned-entropy features.
+const ENTROPY_BINS: [usize; 3] = [5, 10, 20];
+/// Fractions of the absolute mass behind the index-mass-quantile features.
+const MASS_QUANTILES: [f64; 3] = [0.25, 0.5, 0.75];
+/// Multiples of the standard deviation behind the ratio-beyond-r-sigma
+/// features.
+const SIGMA_RATIOS: [f64; 6] = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0];
+/// Quantile corridors `(lo, hi)` of the change-quantile features.
+const CORRIDORS: [(f64, f64); 5] = [(0.0, 0.3), (0.3, 0.7), (0.7, 1.0), (0.0, 0.7), (0.3, 1.0)];
 
 /// The TSFRESH-style extractor (stateless).
 #[derive(Clone, Copy, Debug, Default)]
@@ -240,6 +249,52 @@ fn fourier_entropy(x: &[f64]) -> f64 {
         .sum::<f64>()
 }
 
+/// Autocorrelations at lags 1..=10 and their mean.
+fn autocorrelations(x: &[f64]) -> ([f64; 10], f64) {
+    let mut acf = [0.0; 10];
+    let mut acf_sum = 0.0;
+    for (lag, a) in (1..=10).zip(&mut acf) {
+        *a = autocorrelation(x, lag);
+        acf_sum += *a;
+    }
+    (acf, acf_sum / 10.0)
+}
+
+/// The 10 equal chunks (the last ones shorter or empty) behind the chunk
+/// aggregates and the energy ratios.
+fn ten_chunks(x: &[f64]) -> [&[f64]; 10] {
+    let size = x.len().div_ceil(10);
+    std::array::from_fn(|c| {
+        let lo = (c * size).min(x.len());
+        let hi = ((c + 1) * size).min(x.len());
+        &x[lo..hi]
+    })
+}
+
+/// Centroid, variance, skewness and kurtosis of the PSD read as a
+/// distribution over its bin indices.
+fn spectral_moments(psd: &[f64]) -> [f64; 4] {
+    let total_psd: f64 = psd.iter().sum::<f64>().max(1e-12);
+    let centroid: f64 = psd.iter().enumerate().map(|(k, &p)| k as f64 * p).sum::<f64>() / total_psd;
+    let spec_var: f64 =
+        psd.iter().enumerate().map(|(k, &p)| (k as f64 - centroid).powi(2) * p).sum::<f64>()
+            / total_psd;
+    let spec_std = spec_var.sqrt().max(1e-12);
+    let spec_skew: f64 = psd
+        .iter()
+        .enumerate()
+        .map(|(k, &p)| ((k as f64 - centroid) / spec_std).powi(3) * p)
+        .sum::<f64>()
+        / total_psd;
+    let spec_kurt: f64 = psd
+        .iter()
+        .enumerate()
+        .map(|(k, &p)| ((k as f64 - centroid) / spec_std).powi(4) * p)
+        .sum::<f64>()
+        / total_psd;
+    [centroid, spec_var, spec_skew, spec_kurt]
+}
+
 impl FeatureExtractor for TsFresh {
     fn name(&self) -> &'static str {
         "tsfresh"
@@ -295,13 +350,9 @@ impl FeatureExtractor for TsFresh {
         out.push(mean_change(x));
 
         // 4. Autocorrelation.
-        let mut acf_sum = 0.0;
-        for lag in 1..=10 {
-            let a = autocorrelation(x, lag);
-            acf_sum += a;
-            out.push(a);
-        }
-        out.push(acf_sum / 10.0);
+        let (acf, acf_mean) = autocorrelations(x);
+        out.extend_from_slice(&acf);
+        out.push(acf_mean);
 
         // 5. c3.
         for lag in 1..=3 {
@@ -314,7 +365,7 @@ impl FeatureExtractor for TsFresh {
         }
 
         // 7. Entropies.
-        for bins in [5, 10, 20] {
+        for bins in ENTROPY_BINS {
             out.push(binned_entropy(x, bins));
         }
         let short = subsample(x, APEN_MAX_LEN);
@@ -343,12 +394,12 @@ impl FeatureExtractor for TsFresh {
         out.push(location_of(x, false, false));
 
         // 10. Index mass quantiles.
-        for q in [0.25, 0.5, 0.75] {
+        for q in MASS_QUANTILES {
             out.push(index_mass_quantile(x, q));
         }
 
         // 11. Ratio beyond r sigma.
-        for r in [0.5, 1.0, 1.5, 2.0, 2.5, 3.0] {
+        for r in SIGMA_RATIOS {
             out.push(ratio_beyond_r_sigma(x, r));
         }
 
@@ -360,18 +411,7 @@ impl FeatureExtractor for TsFresh {
         out.push(linear_trend_intercept(x));
 
         // 14. Chunk aggregates over 10 equal chunks.
-        let chunks: Vec<&[f64]> = if x.is_empty() {
-            vec![&[]; 10]
-        } else {
-            let size = x.len().div_ceil(10);
-            (0..10)
-                .map(|c| {
-                    let lo = (c * size).min(x.len());
-                    let hi = ((c + 1) * size).min(x.len());
-                    &x[lo..hi]
-                })
-                .collect()
-        };
+        let chunks = ten_chunks(x);
         for agg in 0..4 {
             for chunk in &chunks {
                 out.push(match agg {
@@ -390,38 +430,139 @@ impl FeatureExtractor for TsFresh {
         }
 
         // 16. Change-quantile corridors.
-        for (lo, hi) in [(0.0, 0.3), (0.3, 0.7), (0.7, 1.0), (0.0, 0.7), (0.3, 1.0)] {
+        for (lo, hi) in CORRIDORS {
             out.push(change_quantiles(x, &sorted, lo, hi));
         }
 
         // 17+18. Welch PSD and spectral aggregates.
         let psd = welch_psd(x, PSD_SEGMENT);
-        let total_psd: f64 = psd.iter().sum::<f64>().max(1e-12);
         for &p in &psd {
             out.push(p);
         }
-        let centroid: f64 =
-            psd.iter().enumerate().map(|(k, &p)| k as f64 * p).sum::<f64>() / total_psd;
-        let spec_var: f64 =
-            psd.iter().enumerate().map(|(k, &p)| (k as f64 - centroid).powi(2) * p).sum::<f64>()
-                / total_psd;
-        let spec_std = spec_var.sqrt().max(1e-12);
-        let spec_skew: f64 = psd
-            .iter()
-            .enumerate()
-            .map(|(k, &p)| ((k as f64 - centroid) / spec_std).powi(3) * p)
-            .sum::<f64>()
-            / total_psd;
-        let spec_kurt: f64 = psd
-            .iter()
-            .enumerate()
-            .map(|(k, &p)| ((k as f64 - centroid) / spec_std).powi(4) * p)
-            .sum::<f64>()
-            / total_psd;
+        let [centroid, spec_var, spec_skew, spec_kurt] = spectral_moments(&psd);
         out.push(centroid);
         out.push(spec_var);
         out.push(spec_skew);
         out.push(spec_kurt);
+    }
+
+    /// Computes only the wanted offsets. An intermediate several features
+    /// share (the sorted copy, the sorted absolute changes, the
+    /// autocorrelations, the ApEn subsample, the Welch PSD and its
+    /// moments) is built once, and only when a wanted offset reads it;
+    /// the two sorted copies live in `scratch`. Each arm is the
+    /// expression [`TsFresh::extract`] pushes, so the subset is
+    /// bit-identical to gathering from it (pinned by the tests below).
+    fn extract_select(
+        &self,
+        x: &[f64],
+        wanted: &[usize],
+        scratch: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
+        let needs = |reads: fn(usize) -> bool| wanted.iter().any(|&k| reads(k));
+        scratch.clear();
+        if needs(|k| matches!(k, 5 | 12 | 16..=24 | 64 | 134..=138)) {
+            scratch.extend_from_slice(x);
+            scratch.sort_by(f64::total_cmp);
+        }
+        let n_sorted = scratch.len();
+        if needs(|k| matches!(k, 25..=33)) {
+            scratch.extend(x.windows(2).map(|w| (w[1] - w[0]).abs()));
+            scratch[n_sorted..].sort_by(f64::total_cmp);
+        }
+        let (sorted, diffs_sorted) = scratch.split_at(n_sorted);
+        let (acf, acf_mean) =
+            if needs(|k| matches!(k, 36..=46)) { autocorrelations(x) } else { ([0.0; 10], 0.0) };
+        let short =
+            if needs(|k| matches!(k, 56 | 57)) { subsample(x, APEN_MAX_LEN) } else { Vec::new() };
+        let chunks = ten_chunks(x);
+        let total_energy =
+            if needs(|k| matches!(k, 124..=133)) { abs_energy(x).max(1e-12) } else { 1.0 };
+        let psd =
+            if needs(|k| matches!(k, 139..=175)) { welch_psd(x, PSD_SEGMENT) } else { Vec::new() };
+        let moments =
+            if needs(|k| matches!(k, 172..=175)) { spectral_moments(&psd) } else { [0.0; 4] };
+        for &k in wanted {
+            out.push(match k {
+                // 1. Basics.
+                0 => mean(x),
+                1 => std_dev(x),
+                2 => variance(x),
+                3 => skewness(x),
+                4 => kurtosis(x),
+                5 => quantile_sorted(sorted, 0.5),
+                6 => min(x),
+                7 => max(x),
+                8 => rms(x),
+                9 => x.iter().sum(),
+                10 => abs_energy(x),
+                11 => max(x) - min(x),
+                12 => quantile_sorted(sorted, 0.75) - quantile_sorted(sorted, 0.25),
+                13 => variation_coefficient(x),
+                14 => cid_ce(x),
+                15 => mean_second_derivative_central(x),
+                // 2–3. Quantiles of values and of absolute changes.
+                16..=24 => quantile_sorted(sorted, (k - 15) as f64 / 10.0),
+                25..=33 => quantile_sorted(diffs_sorted, (k - 24) as f64 / 10.0),
+                34 => mean_abs_change(x),
+                35 => mean_change(x),
+                // 4–6. Autocorrelation, c3, time reversal asymmetry.
+                36..=45 => acf[k - 36],
+                46 => acf_mean,
+                47..=49 => c3(x, k - 46),
+                50..=52 => time_reversal_asymmetry(x, k - 49),
+                // 7. Entropies.
+                53..=55 => binned_entropy(x, ENTROPY_BINS[k - 53]),
+                56 => approximate_entropy(&short, 2, 0.2),
+                57 => approximate_entropy(&short, 2, 0.5),
+                58 => fourier_entropy(x),
+                // 8. Strikes / crossings / peaks.
+                59 => longest_strike_above_mean(x) as f64,
+                60 => longest_strike_below_mean(x) as f64,
+                61 => mean_crossings(x) as f64,
+                62 => count_peaks(x) as f64,
+                63 => fraction_above_mean(x),
+                64 => crossings(x, quantile_sorted(sorted, 0.5)) as f64,
+                // 9. Positional.
+                65 => x.first().copied().unwrap_or(0.0),
+                66 => x.last().copied().unwrap_or(0.0),
+                67 => match (x.first(), x.last()) {
+                    (Some(f), Some(l)) => l - f,
+                    _ => 0.0,
+                },
+                68 => location_of(x, true, true),
+                69 => location_of(x, false, true),
+                70 => location_of(x, true, false),
+                71 => location_of(x, false, false),
+                // 10–13. Index mass, r-sigma ratios, recurrence, trend.
+                72..=74 => index_mass_quantile(x, MASS_QUANTILES[k - 72]),
+                75..=80 => ratio_beyond_r_sigma(x, SIGMA_RATIOS[k - 75]),
+                81 => ratio_value_recurrence(x),
+                82 => linear_trend_slope(x),
+                83 => linear_trend_intercept(x),
+                // 14–15. Chunk aggregates and energy ratios.
+                84..=123 => {
+                    let chunk = chunks[(k - 84) % 10];
+                    match (k - 84) / 10 {
+                        0 => mean(chunk),
+                        1 => std_dev(chunk),
+                        2 => min(chunk),
+                        _ => max(chunk),
+                    }
+                }
+                124..=133 => abs_energy(chunks[k - 124]) / total_energy,
+                // 16. Change-quantile corridors.
+                134..=138 => {
+                    let (lo, hi) = CORRIDORS[k - 134];
+                    change_quantiles(x, sorted, lo, hi)
+                }
+                // 17–18. Welch PSD and spectral aggregates.
+                139..=171 => psd[k - 139],
+                172..=175 => moments[k - 172],
+                _ => panic!("tsfresh feature offset {k} out of range (npm = 176)"),
+            });
+        }
     }
 }
 
@@ -457,6 +598,69 @@ mod tests {
             let out = extract(&input);
             assert_eq!(out.len(), 176);
             assert!(out.iter().all(|v| v.is_finite()), "input {input:?}");
+        }
+    }
+
+    /// Series that drive every branch `extract_select` can take: too short
+    /// for most kernels, constant, the serve window length, longer than
+    /// the ApEn cap with several Welch segments, and NaN-gapped.
+    fn select_inputs() -> Vec<Vec<f64>> {
+        vec![
+            vec![],
+            vec![4.2],
+            vec![1.5, -0.5],
+            (0..60).map(|t| (t as f64 * 0.31).sin() * 12.0 + 50.0).collect(),
+            vec![3.0; 40],
+            (0..200).map(|t| (t as f64 * 0.17).sin() * 5.0 + (t % 13) as f64).collect(),
+            (0..90).map(|t| if t % 7 == 2 { f64::NAN } else { (t as f64).sqrt() }).collect(),
+        ]
+    }
+
+    fn select(x: &[f64], wanted: &[usize], scratch: &mut Vec<f64>) -> Vec<u64> {
+        let mut out = Vec::new();
+        TsFresh.extract_select(x, wanted, scratch, &mut out);
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn extract_select_is_bit_identical_to_gathering_from_extract() {
+        use rand::prelude::*;
+        let names = tsfresh_feature_suffixes();
+        let npm = names.len();
+        let mut rng = StdRng::seed_from_u64(0x75f5);
+        // One scratch across every call, so a stale intermediate from an
+        // earlier series or selection would show.
+        let mut scratch = Vec::new();
+        for x in &select_inputs() {
+            let full = extract(x);
+            let gather = |wanted: &[usize]| -> Vec<u64> {
+                wanted.iter().map(|&k| full[k].to_bits()).collect()
+            };
+            // Every feature on its own…
+            for (k, name) in names.iter().enumerate() {
+                assert_eq!(
+                    select(x, &[k], &mut scratch),
+                    gather(&[k]),
+                    "feature {name} diverged on a series of length {}",
+                    x.len()
+                );
+            }
+            // …the empty and the full selection…
+            assert!(select(x, &[], &mut scratch).is_empty());
+            let all: Vec<usize> = (0..npm).collect();
+            assert_eq!(select(x, &all, &mut scratch), gather(&all));
+            // …and seeded random subsets in scrambled order.
+            for _ in 0..20 {
+                let mut wanted = all.clone();
+                wanted.shuffle(&mut rng);
+                wanted.truncate(rng.gen_range(1..=npm));
+                assert_eq!(
+                    select(x, &wanted, &mut scratch),
+                    gather(&wanted),
+                    "subset {wanted:?} diverged on a series of length {}",
+                    x.len()
+                );
+            }
         }
     }
 

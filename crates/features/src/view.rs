@@ -363,27 +363,38 @@ mod tests {
     }
 
     /// Scratch reuse across windows must not leak state between calls.
+    /// The TsFresh selection asks each metric for other shared
+    /// intermediates (metric 0: sorted copy, autocorrelations, PSD;
+    /// metric 1: sorted changes, ApEn subsample, chunks, spectral
+    /// moments and the sorted copy), so a stale one from an earlier
+    /// metric or window would show.
     #[test]
     fn scratch_reuse_does_not_leak_between_windows() {
-        let a = gapped_window(64);
-        let b = window();
-        let npm = Mvts.n_features_per_metric();
-        let selected: Vec<usize> = (0..2 * npm).step_by(5).collect();
-        let scaler = MinMaxScaler::fit(&Matrix::from_rows(&[
-            vec![0.0; selected.len()],
-            vec![1.0; selected.len()],
-        ]));
-        let view = FeatureView::new(selected, scaler);
-        let plan = view.plan(&Mvts);
-        let mut scratch = ExtractScratch::default();
-        let mut row = vec![0.0; view.n_features()];
-        // Interleave two very different windows; each must match its
-        // own golden row every time.
-        for _ in 0..3 {
-            for w in [&a, &b] {
-                view.unscaled_row_into(&Mvts, w, &pre(), &plan, &mut scratch, &mut row);
-                let golden = view.unscaled_row(&Mvts, w, &pre());
-                assert_eq!(row, golden);
+        use crate::tsfresh::TsFresh;
+        let windows = [gapped_window(64), window(), gapped_window(130)];
+        let npm = TsFresh.n_features_per_metric();
+        let cases: [(&dyn FeatureExtractor, Vec<usize>); 2] = [
+            (&Mvts, (0..2 * Mvts.n_features_per_metric()).step_by(5).collect()),
+            (&TsFresh, vec![16, 139, 40, npm + 30, 5, npm + 56, npm + 100, npm + 173, npm + 12]),
+        ];
+        for (ex, selected) in cases {
+            let scaler = MinMaxScaler::fit(&Matrix::from_rows(&[
+                vec![0.0; selected.len()],
+                vec![1.0; selected.len()],
+            ]));
+            let view = FeatureView::new(selected, scaler);
+            let plan = view.plan(ex);
+            let mut scratch = ExtractScratch::default();
+            let mut row = vec![0.0; view.n_features()];
+            // Interleave very different windows; each must match its
+            // own golden row every time.
+            for _ in 0..3 {
+                for w in &windows {
+                    view.unscaled_row_into(ex, w, &pre(), &plan, &mut scratch, &mut row);
+                    let golden = view.unscaled_row(ex, w, &pre());
+                    let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&row), bits(&golden), "{}", ex.name());
+                }
             }
         }
     }

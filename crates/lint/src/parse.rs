@@ -481,32 +481,31 @@ impl SiteWalk {
     }
 }
 
-/// `#[cfg(..)]` naming `test` at `i`: the line range from the attribute
-/// to the end of the item it annotates — its `;`, its closing brace, or
-/// the closing bracket of the enclosing group. Unterminated input runs
-/// to the end of the file.
+/// `#[cfg(..)]` at `i` whose predicate holds only under `cfg(test)`:
+/// the line range from the attribute to the end of the item it
+/// annotates — its `;`, its closing brace, or the closing bracket of
+/// the enclosing group. Unterminated input runs to the end of the file.
 fn cfg_test_item(toks: &[Token], i: usize) -> Option<(u32, u32)> {
     if !(is_punct(toks, i, '#')
         && is_punct(toks, i + 1, '[')
-        && ident_at(toks, i + 2) == Some("cfg"))
+        && ident_at(toks, i + 2) == Some("cfg")
+        && is_punct(toks, i + 3, '('))
     {
+        return None;
+    }
+    if !cfg_implies_test(toks, i + 4).0 {
         return None;
     }
     let start = toks[i].line;
     let mut depth = 0i32;
     let mut in_attr = true;
-    let mut names_test = false;
     for t in &toks[i + 1..] {
         match &t.tok {
-            Tok::Ident(s) if in_attr && s == "test" => names_test = true,
             Tok::Punct('(' | '[' | '{') => depth += 1,
             Tok::Punct(c @ (')' | ']' | '}')) => {
                 depth -= 1;
                 if in_attr && depth == 0 {
                     // The attribute closed; the annotated item follows.
-                    if !names_test {
-                        return None;
-                    }
                     in_attr = false;
                 } else if depth < 0 || (depth == 0 && *c == '}') {
                     return Some((start, t.line));
@@ -516,7 +515,38 @@ fn cfg_test_item(toks: &[Token], i: usize) -> Option<(u32, u32)> {
             _ => {}
         }
     }
-    names_test.then(|| (start, toks.last().map_or(start, |t| t.line)))
+    Some((start, toks.last().map_or(start, |t| t.line)))
+}
+
+/// Whether the cfg predicate starting at `i` holds only under `test`
+/// (`test`, `all(..)` with such a member, `any(..)` of only such
+/// members; never `not(..)`), and the index just past the predicate.
+/// The lexer drops literals, so `feature = "x"` is `feature =`.
+fn cfg_implies_test(toks: &[Token], i: usize) -> (bool, usize) {
+    let Some(name) = ident_at(toks, i) else { return (false, i + 1) };
+    if is_punct(toks, i + 1, '=') {
+        return (false, i + 2);
+    }
+    if !is_punct(toks, i + 1, '(') {
+        return (name == "test", i + 1);
+    }
+    let mut args = Vec::new();
+    let mut j = i + 2;
+    while j < toks.len() && !is_punct(toks, j, ')') {
+        let (implies, next) = cfg_implies_test(toks, j);
+        args.push(implies);
+        j = next;
+        if !is_punct(toks, j, ',') {
+            break;
+        }
+        j += 1;
+    }
+    let implies = match name {
+        "all" => args.contains(&true),
+        "any" => !args.is_empty() && !args.contains(&false),
+        _ => false,
+    };
+    (implies, j + 1)
 }
 
 /// The innermost impl/trait context on the scope stack.
@@ -650,19 +680,19 @@ fn parse_type_path(toks: &[Token], start: usize) -> Option<(String, usize)> {
 }
 
 /// Skips a fn signature starting just past the name; returns the index
-/// of the body `{` (so the main loop opens the Fn scope) or just past
-/// the `;` of a bodyless signature.
+/// of the body `{` (so the main loop opens the Fn scope) or of the `;`
+/// of a bodyless signature (so the main loop drops the pending scope).
+/// A `;` inside parens or brackets (`-> [u8; 4]`) ends nothing.
 fn skip_signature(toks: &[Token], mut i: usize) -> usize {
     if is_punct(toks, i, '<') {
         i = skip_angles(toks, i).unwrap_or(i);
     }
-    let mut paren = 0i32;
+    let mut depth = 0i32;
     while i < toks.len() {
         match punct_at(toks, i) {
-            Some('(') => paren += 1,
-            Some(')') => paren -= 1,
-            Some('{') if paren <= 0 => return i,
-            Some(';') if paren <= 0 => return i + 1,
+            Some('(' | '[') => depth += 1,
+            Some(')' | ']') => depth -= 1,
+            Some('{' | ';') if depth <= 0 => return i,
             _ => {}
         }
         i += 1;
@@ -1093,6 +1123,33 @@ mod tests {
         assert_eq!(log.calls[0].target, CallTarget::SelfMethod("flush".into()));
         let flush = p.fns.iter().find(|f| f.name == "flush").unwrap();
         assert!(flush.calls.is_empty());
+    }
+
+    #[test]
+    fn a_bodyless_fn_does_not_claim_the_next_brace() {
+        // `fn a(&self);` must not leave its scope pending for the
+        // struct's brace: the field site is file-level, not `a`'s.
+        let src =
+            "trait T { fn a(&self); }\nstruct S { m: HashMap<u8, u8> }\nfn b() -> [u8; 2] { go() }";
+        let p = parse("crates/serve/src/x.rs", src);
+        let a = p.fns.iter().find(|f| f.name == "a").unwrap();
+        assert!(a.sites.is_empty() && a.calls.is_empty(), "{a:?}");
+        assert_eq!(p.sites.len(), 1, "{:?}", p.sites);
+        // A `;` inside the return type does not end the signature.
+        let b = p.fns.iter().find(|f| f.name == "b").unwrap();
+        assert_eq!(b.calls[0].target, CallTarget::Path(vec!["go".into()]));
+    }
+
+    #[test]
+    fn only_test_only_cfgs_mark_test_items() {
+        let src = "#[cfg(not(test))]\nfn live() {}\n#[cfg(any(test, feature = \"x\"))]\nfn either() {}\n#[cfg(all(test, feature = \"x\"))]\nfn t() {}\n#[cfg(any(test, all(test, unix)))]\nfn t2() {}";
+        let p = parse("crates/serve/src/x.rs", src);
+        let is_test = |n: &str| p.fns.iter().find(|f| f.name == n).unwrap().is_test;
+        assert!(!is_test("live"));
+        assert!(!is_test("either"));
+        assert!(is_test("t"));
+        assert!(is_test("t2"));
+        assert_eq!(p.test_items, vec![(5, 6), (7, 8)]);
     }
 
     #[test]

@@ -1,0 +1,140 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of the end-to-end benchmark.
+#
+# Usage: scripts/bench_pairs.sh <parent-rev> <workload> <pairs>
+#
+# Exports <parent-rev> and HEAD (committed files only, `git archive`)
+# into a temporary directory, builds each side's perfbench there, and
+# runs the BENCHMARK.json command on both for <pairs> pairs. Pair i uses
+# seed BENCH_PAIRS_SEED0+i (default 101) on both sides and alternates
+# which side runs first. Both sides get the same `--seconds`
+# (BENCHMARK.json's run_seconds). The repository's own tree, perfbench/
+# and BENCHMARK.json are never written.
+#
+# Prints one line per pair, then, for every end-to-end metric in
+# BENCHMARK.json, each side's median and quartiles, the change's wins
+# (ties count for neither side) and a verdict:
+#   gain    — the change wins >= 9/10 of the pairs and the medians differ
+#             by more than the parent's interquartile range;
+#   worse   — the change's median is worse than the parent's by more
+#             than the metric's bound;
+#   within  — neither.
+# Every run's full output stays in the temporary directory while the
+# script runs; set BENCH_PAIRS_KEEP=1 to keep it afterwards.
+
+set -euo pipefail
+
+if [ $# -ne 3 ]; then
+    echo "usage: $0 <parent-rev> <workload> <pairs>" >&2
+    exit 2
+fi
+PARENT_REV=$1
+WORKLOAD=$2
+PAIRS=$3
+SEED0=${BENCH_PAIRS_SEED0:-101}
+case "$PAIRS" in
+    '' | *[!0-9]*) echo "pairs must be a positive integer" >&2; exit 2 ;;
+esac
+
+cd "$(git rev-parse --show-toplevel)"
+PARENT_SHA=$(git rev-parse --verify "$PARENT_REV^{commit}")
+HEAD_SHA=$(git rev-parse --verify HEAD)
+SECONDS_ARG=$(jq -r '.run_seconds' BENCHMARK.json)
+mapfile -t COMMAND < <(jq -r '.command[]' BENCHMARK.json)
+jq -e --arg w "$WORKLOAD" '.workloads | any(.name == $w)' BENCHMARK.json >/dev/null \
+    || { echo "workload $WORKLOAD is not in BENCHMARK.json" >&2; exit 2; }
+git show HEAD:BENCHMARK.json >/dev/null \
+    || { echo "HEAD has no committed BENCHMARK.json" >&2; exit 2; }
+
+WORK=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
+if [ "${BENCH_PAIRS_KEEP:-0}" = 1 ]; then
+    echo "keeping $WORK"
+else
+    trap 'rm -rf "$WORK"' EXIT
+fi
+mkdir -p "$WORK/runs"
+
+for side in parent change; do
+    sha=$PARENT_SHA
+    [ "$side" = change ] && sha=$HEAD_SHA
+    mkdir -p "$WORK/$side"
+    git archive "$sha" | tar -x -C "$WORK/$side"
+    echo "==> building $side ($sha)"
+    (cd "$WORK/$side" && cargo build --quiet --release --offline \
+        --manifest-path perfbench/Cargo.toml)
+done
+
+run() { # side seed
+    local out="$WORK/runs/$1-$2.txt"
+    (cd "$WORK/$1" && "${COMMAND[@]}" --workload "$WORKLOAD" --seed "$2" \
+        --seconds "$SECONDS_ARG" --trace 0) >"$out" 2>"$out.err" || true
+    tail -n 1 "$out" >"$WORK/runs/$1-$2.json"
+}
+
+for ((i = 0; i < PAIRS; i++)); do
+    seed=$((SEED0 + i))
+    if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
+    for side in "${order[@]}"; do run "$side" "$seed"; done
+    echo "pair $((i + 1))/$PAIRS seed $seed (${order[0]} first) done"
+done
+
+python3 - "$WORK/runs" "$SEED0" "$PAIRS" "$WORKLOAD" <<'EOF'
+import json, statistics, sys
+
+runs, seed0, pairs, workload = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+spec = json.load(open("BENCHMARK.json"))
+
+def load(side, seed):
+    try:
+        return json.load(open(f"{runs}/{side}-{seed}.json"))
+    except (OSError, ValueError):
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+
+seeds = range(seed0, seed0 + pairs)
+res = {side: [load(side, s) for s in seeds] for side in ("parent", "change")}
+for side, rs in res.items():
+    bad = [s for s, r in zip(seeds, rs) if not r.get("correct") or r.get("failed", 0)]
+    att = sum(r.get("attempted", 0) for r in rs)
+    fail = sum(r.get("failed", 0) for r in rs)
+    print(f"{side}: {att} operations, {fail} failed, runs not correct: {bad or 'none'}")
+
+def quartiles(v):
+    if len(v) < 2:
+        return (v[0], v[0]) if v else (float("nan"), float("nan"))
+    q = statistics.quantiles(v, n=4, method="inclusive")
+    return q[0], q[2]
+
+print(f"\n{workload}: {pairs} pairs, seeds {seed0}..{seed0 + pairs - 1}")
+print(f"{'metric':<14} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
+      f"{'wins':>7} {'bound':>6}  verdict")
+for m in spec["end_to_end"]:
+    name, lower = m["name"], m["better"] == "lower"
+    p = [r["metrics"].get(name, {}).get("value") for r in res["parent"]]
+    c = [r["metrics"].get(name, {}).get("value") for r in res["change"]]
+    both = [(a, b) for a, b in zip(p, c) if a is not None and b is not None]
+    if not both:
+        print(f"{name:<14} no complete pair")
+        continue
+    pv, cv = [a for a, _ in both], [b for _, b in both]
+    wins = sum((b < a) if lower else (b > a) for a, b in both)
+    pm, cm = statistics.median(pv), statistics.median(cv)
+    pq, cq = quartiles(pv), quartiles(cv)
+    gap = (pm - cm) if lower else (cm - pm)
+    worse = -gap / abs(pm) if pm else 0.0
+    if wins * 10 >= 9 * len(both) and gap > pq[1] - pq[0]:
+        verdict = "gain"
+    elif worse > m["bound"]:
+        verdict = f"worse by {worse:.1%}"
+    else:
+        verdict = "within"
+    fmt = lambda med, q: f"{med:.6g} [{q[0]:.6g}, {q[1]:.6g}]"
+    print(f"{name:<14} {fmt(pm, pq):>30} {fmt(cm, cq):>30} {wins:>3}/{len(both):<3} "
+          f"{m['bound']:>6}  {verdict}")
+print("\nper pair (parent -> change):")
+for s, a, b in zip(seeds, res["parent"], res["change"]):
+    vals = " ".join(
+        f"{m['name']}={a['metrics'].get(m['name'], {}).get('value', float('nan')):.6g}"
+        f"->{b['metrics'].get(m['name'], {}).get('value', float('nan')):.6g}"
+        for m in spec["end_to_end"])
+    print(f"seed {s}: {vals}")
+EOF
