@@ -4,13 +4,17 @@
 //! and trained in parallel with `alba_par::map` (inline when the fit itself
 //! runs on an `alba-par` worker, such as a grid lane); `predict_proba`
 //! averages the leaf distributions of all trees (scikit-learn semantics).
+//! A fit sorts every column of the training matrix once, into a table
+//! all tree lanes read (see `tree`), and hands each tree its bootstrap
+//! as per-row multiplicities drawn from the tree's seed, never as a
+//! copied matrix. The table is dropped when `fit` returns.
 //! Inference runs in the calling thread: each tree adds its leaf
 //! distributions into one accumulator, in tree order, so no per-tree
 //! matrix is allocated and no thread is spawned — the serve path
 //! parallelises across `alba-par` shards instead, one level up.
 
 use crate::model::Classifier;
-use crate::tree::{Criterion, DecisionTree, MaxFeatures, TreeParams};
+use crate::tree::{Bag, Criterion, DecisionTree, MaxFeatures, Presorted, TreeParams};
 use alba_data::{bootstrap_indices, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,6 +78,7 @@ impl Classifier for RandomForest {
         let mut seeder = StdRng::seed_from_u64(self.params.seed);
         let tree_seeds: Vec<u64> = (0..self.params.n_estimators).map(|_| seeder.gen()).collect();
 
+        let table = Presorted::new(x);
         self.trees = alba_par::map(alba_par::available_cores(), tree_seeds, |seed| {
             let params = TreeParams {
                 max_depth: self.params.max_depth,
@@ -83,16 +88,14 @@ impl Classifier for RandomForest {
                 max_features: self.params.max_features,
                 seed,
             };
-            let mut tree = DecisionTree::new(params);
-            if self.params.bootstrap {
+            let bag = if self.params.bootstrap {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xB007);
-                let idx = bootstrap_indices(x.rows(), x.rows(), &mut rng);
-                let xb = x.select_rows(&idx);
-                let yb: Vec<usize> = idx.iter().map(|&i| y[i]).collect();
-                tree.fit(&xb, &yb, n_classes);
+                Bag::drawn(x.rows(), &bootstrap_indices(x.rows(), x.rows(), &mut rng))
             } else {
-                tree.fit(x, y, n_classes);
-            }
+                Bag::all(x.rows())
+            };
+            let mut tree = DecisionTree::new(params);
+            tree.fit_presorted(&table, y, n_classes, &bag);
             tree
         });
     }
@@ -117,6 +120,80 @@ impl Classifier for RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::reference::{assert_same_tree, awkward_data, shapes};
+
+    /// The trees a forest grew before presorting: each on a copy of its
+    /// bootstrap rows, with the gather-and-sort reference fit.
+    fn fit_reference(
+        p: ForestParams,
+        x: &Matrix,
+        y: &[usize],
+        n_classes: usize,
+    ) -> Vec<DecisionTree> {
+        let mut seeder = StdRng::seed_from_u64(p.seed);
+        let seeds: Vec<u64> = (0..p.n_estimators).map(|_| seeder.gen()).collect();
+        seeds
+            .into_iter()
+            .map(|seed| {
+                let params = TreeParams {
+                    max_depth: p.max_depth,
+                    criterion: p.criterion,
+                    min_samples_split: 2,
+                    min_samples_leaf: 1,
+                    max_features: p.max_features,
+                    seed,
+                };
+                if p.bootstrap {
+                    let mut rng = StdRng::seed_from_u64(seed ^ 0xB007);
+                    let idx = bootstrap_indices(x.rows(), x.rows(), &mut rng);
+                    let yb: Vec<usize> = idx.iter().map(|&i| y[i]).collect();
+                    DecisionTree::fit_gather_sort(params, &x.select_rows(&idx), &yb, n_classes)
+                } else {
+                    DecisionTree::fit_gather_sort(params, x, y, n_classes)
+                }
+            })
+            .collect()
+    }
+
+    /// Bootstrap multiplicities over one presorted table grow exactly the
+    /// trees that copying each bootstrap sample and gathering and
+    /// sorting at every node grew.
+    #[test]
+    fn presorted_forest_matches_gather_sort_reference() {
+        for (name, shape) in shapes() {
+            let (x, y) = awkward_data(300, 8, 4, shape);
+            for bootstrap in [true, false] {
+                for criterion in [Criterion::Gini, Criterion::Entropy] {
+                    for max_features in [MaxFeatures::All, MaxFeatures::Sqrt, MaxFeatures::Count(3)]
+                    {
+                        for max_depth in [None, Some(4)] {
+                            let max_depth =
+                                if shape.nan { max_depth.or(Some(8)) } else { max_depth };
+                            let params = ForestParams {
+                                n_estimators: 4,
+                                max_depth,
+                                criterion,
+                                max_features,
+                                bootstrap,
+                                seed: 17,
+                            };
+                            let mut forest = RandomForest::new(params);
+                            forest.fit(&x, &y, 4);
+                            let want = fit_reference(params, &x, &y, 4);
+                            assert_eq!(forest.trees.len(), want.len());
+                            for (i, (got, want)) in forest.trees.iter().zip(&want).enumerate() {
+                                assert_same_tree(
+                                    got,
+                                    want,
+                                    &format!("{name}, {params:?}, tree {i}"),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn blobs(n: usize) -> (Matrix, Vec<usize>) {
         let mut rows = Vec::new();

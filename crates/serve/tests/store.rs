@@ -72,6 +72,28 @@ fn store_backed_replay_logs_identically_to_in_memory() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A k-round warm restart fits once, after absorbing every journalled
+/// round, and serializes the same model as the k sequential `fold_in`
+/// refits the journalled run deployed.
+#[test]
+fn warm_restart_fits_once() {
+    let dir = tmpdir("fits-once");
+    let mut cfg = test_config(42);
+    cfg.store_dir = Some(dir.display().to_string());
+
+    let mut first = FleetService::with_obs(cfg.clone(), Obs::disabled());
+    let rounds = first.run_to_completion().swap_ticks.len() as u64;
+    assert!(rounds >= 2, "the journal must hold several rounds");
+    assert_eq!(first.retrainer().fits(), 1 + rounds, "an initial fit, then one per round");
+
+    let second = FleetService::with_obs(cfg, Obs::disabled());
+    assert_eq!(second.swap_ticks().len() as u64, rounds, "every round is restored");
+    assert_eq!(second.retrainer().fits(), 1, "a warm restart fits exactly once");
+    assert_eq!(second.retrainer().n_samples(), first.retrainer().n_samples());
+    assert_eq!(second.model().to_json(), first.model().to_json());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Warm restart: a second service over the same store replays the label
 /// journal and comes up with the first service's *final* model —
 /// bit-identical predictions, restored retrain budget — without asking

@@ -129,21 +129,7 @@ print(f"  {len(lines)} events, {len(names)} metric families: OK")
 EOF
 
 echo "==> figure goldens (smoke seed-7 figures byte-identical to results/)"
-OUT_FIG=$(mktemp -d)
-trap 'rm -rf "$OUT_FIG"' EXIT
-cargo run --release -p alba-bench --bin repro -- \
-    --exp fig3,fig4,fig5,fig6,fig8,table5 --scale smoke --seed 7 --out "$OUT_FIG" >/dev/null
-N_FIG=0
-for f in "$OUT_FIG"/*.json "$OUT_FIG"/*.svg; do
-    name=$(basename "$f")
-    # Stage timings are wall-clock; everything else is seeded.
-    case "$name" in stage_timings_*) continue ;; esac
-    cmp "$f" "results/$name" \
-        || { echo "$name differs from the committed results/$name" >&2; exit 1; }
-    N_FIG=$((N_FIG + 1))
-done
-rm -rf "$OUT_FIG"
-echo "  $N_FIG figure artifacts byte-identical to results/: OK"
+scripts/figure_goldens.sh smoke 7 fig3,fig4,fig5,fig6,fig8,table5
 
 echo "==> store smoke (cold run populates, warm run hits, results identical)"
 STORE_DIR=$(mktemp -d)
