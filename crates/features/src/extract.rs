@@ -24,16 +24,28 @@ pub trait FeatureExtractor: Sync {
     /// Appends only the features at offsets `wanted` (each `<`
     /// [`FeatureExtractor::n_features_per_metric`]), in the given
     /// order. The result must be **bit-identical** to gathering those
-    /// offsets from [`FeatureExtractor::extract`]'s output. `scratch` is
-    /// an extractor-private buffer the caller reuses across calls; its
-    /// contents on entry are unspecified.
+    /// offsets from [`FeatureExtractor::extract`]'s output. `scratch`
+    /// holds extractor-private buffers the caller reuses across calls;
+    /// their contents on entry are unspecified.
     fn extract_select(
         &self,
         series: &[f64],
         wanted: &[usize],
-        scratch: &mut Vec<f64>,
+        scratch: &mut SelectScratch,
         out: &mut Vec<f64>,
     );
+}
+
+/// The reusable buffers of [`FeatureExtractor::extract_select`]: sorted
+/// copies of the series (or of values derived from it), and the
+/// total-order keys they are sorted through
+/// ([`alba_data::sort_total`]).
+#[derive(Clone, Debug, Default)]
+pub struct SelectScratch {
+    /// Sorted values.
+    pub values: Vec<f64>,
+    /// Sort keys.
+    pub keys: Vec<u64>,
 }
 
 /// Preprocesses every sample and extracts per-metric features, producing a

@@ -19,7 +19,7 @@ pub mod stats;
 pub mod tsfresh;
 pub mod view;
 
-pub use extract::{drop_degenerate_features, extract_features, FeatureExtractor};
+pub use extract::{drop_degenerate_features, extract_features, FeatureExtractor, SelectScratch};
 pub use fft::{fft_in_place, real_fft_magnitudes, welch_psd};
 pub use mvts::{Mvts, MVTS_FEATURE_NAMES};
 pub use preprocess::{diff_counter, interpolate_gaps, preprocess, trim_bounds, PreprocessConfig};

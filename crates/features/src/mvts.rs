@@ -4,8 +4,34 @@
 //! absolute differences between the descriptive statistics of the first and
 //! second halves of the series, and long-run trend features such as the
 //! longest monotonic increase (Sec. III-A).
+//!
+//! [`Mvts::extract`] computes all 48 features with the plain kernels; it
+//! is the reference. [`FeatureExtractor::extract_select`] computes only
+//! the wanted offsets and builds each intermediate they share once:
+//!
+//! * **Sorted halves.** The series is split at `len / 2`, as the
+//!   half-vs-half features split it. Each half is sorted once, through
+//!   its `u64` total-order keys ([`alba_data::total_order_key`]); the
+//!   half quantiles (`halves_abs_diff_{median,q25,q75}`) read them.
+//! * **Full sorted order.** An O(n) merge of the two sorted halves, read
+//!   by median, q25, q75, iqr, q10 and q90. Two values `total_cmp` calls
+//!   equal have the same bits, so both sorted copies are bit-identical
+//!   to `sort_by(f64::total_cmp)`.
+//! * **Moments.** `mean(x)` and `variance(x)` once per series, shared by
+//!   mean, std, var, skewness, kurtosis, cid_ce, variation_coefficient,
+//!   the mean crossings, fraction and strikes, the trend slope and
+//!   intercept, and the autocorrelations. The halves' means and
+//!   variances likewise serve their mean, std, skewness, kurtosis and
+//!   slope differences. The kernels take them through the `*_with`
+//!   twins in [`crate::stats`].
+//! * **Trend slope**, shared by the slope and the intercept.
+//!
+//! The sort keys and the sorted copies live in the caller's
+//! [`SelectScratch`].
 
-use crate::extract::FeatureExtractor;
+use alba_data::{from_total_order_key, total_order_key};
+
+use crate::extract::{FeatureExtractor, SelectScratch};
 use crate::stats::*;
 
 /// The MVTS extractor (stateless).
@@ -164,29 +190,60 @@ impl FeatureExtractor for Mvts {
         out.push(quantile_sorted(&sorted, 0.9));
     }
 
-    /// Every MVTS feature is an independent pure function of the
-    /// series, so a selected subset is computed feature-by-feature —
-    /// the sort backing the quantile features runs (once, into
-    /// `scratch`) only when a quantile feature is actually wanted.
-    /// Each arm is the exact expression the full path pushes, so the
-    /// subset is bit-identical to gathering from [`Mvts::extract`]
-    /// (pinned by the tests below).
+    /// Computes only the wanted offsets, sharing the intermediates listed
+    /// in the module docs: each is built once, and only when a wanted
+    /// offset reads it. Each arm is the expression [`Mvts::extract`]
+    /// pushes, with a shared intermediate in place of the kernel call
+    /// that recomputes it, so the subset is bit-identical to gathering
+    /// from it (pinned by the tests below and in `tests/`).
     fn extract_select(
         &self,
         x: &[f64],
         wanted: &[usize],
-        scratch: &mut Vec<f64>,
+        scratch: &mut SelectScratch,
         out: &mut Vec<f64>,
     ) {
-        // median, q25, q75, iqr, q10, q90 need the sorted copy.
-        if wanted.iter().any(|k| matches!(k, 5..=8 | 46 | 47)) {
-            scratch.clear();
-            scratch.extend_from_slice(x);
-            scratch.sort_by(f64::total_cmp);
-        }
-        let sorted: &[f64] = scratch;
+        let needs = |reads: fn(usize) -> bool| wanted.iter().any(|&k| reads(k));
         let mid = x.len() / 2;
         let (a, b) = x.split_at(mid);
+
+        // Sorted halves (median, q25, q75 of each half) and the full
+        // sorted order (median, q25, q75, iqr, q10, q90), merged from
+        // the halves.
+        let halves = needs(|k| matches!(k, 30..=32));
+        let full = needs(|k| matches!(k, 5..=8 | 46 | 47));
+        let (keys, values) = (&mut scratch.keys, &mut scratch.values);
+        values.clear();
+        if halves || full {
+            keys.clear();
+            keys.extend(x.iter().map(|&v| total_order_key(v)));
+            keys[..mid].sort_unstable();
+            keys[mid..].sort_unstable();
+            if halves {
+                values.extend(keys.iter().map(|&k| from_total_order_key(k)));
+            }
+            if full {
+                merge_keys(&keys[..mid], &keys[mid..], values);
+            }
+        }
+        let n_halves = if halves { x.len() } else { 0 };
+        let (sorted_halves, sorted) = values.split_at(n_halves);
+        let (sorted_a, sorted_b) = sorted_halves.split_at(mid.min(n_halves));
+
+        // Moments of the series and of its halves.
+        let m = if needs(|k| matches!(k, 0..=2 | 10 | 11 | 15..=17 | 19..=23 | 42..=44)) {
+            Moments::of(x)
+        } else {
+            Moments::default()
+        };
+        let slope =
+            if needs(|k| matches!(k, 22 | 23)) { linear_trend_slope_with(x, m.mean) } else { 0.0 };
+        let (ma, mb) = if needs(|k| matches!(k, 26 | 27 | 33..=35)) {
+            (Moments::of(a), Moments::of(b))
+        } else {
+            (Moments::default(), Moments::default())
+        };
+
         let arg_of = |cmp: fn(&f64, &f64) -> bool| -> f64 {
             if x.is_empty() {
                 return 0.0;
@@ -201,9 +258,9 @@ impl FeatureExtractor for Mvts {
         };
         for &k in wanted {
             out.push(match k {
-                0 => mean(x),
-                1 => std_dev(x),
-                2 => variance(x),
+                0 => m.mean,
+                1 => m.std(),
+                2 => m.var,
                 3 => min(x),
                 4 => max(x),
                 5 => quantile_sorted(sorted, 0.5),
@@ -211,32 +268,35 @@ impl FeatureExtractor for Mvts {
                 7 => quantile_sorted(sorted, 0.75),
                 8 => quantile_sorted(sorted, 0.75) - quantile_sorted(sorted, 0.25),
                 9 => rms(x),
-                10 => skewness(x),
-                11 => kurtosis(x),
+                10 => skewness_with(x, m.mean, m.std()),
+                11 => kurtosis_with(x, m.mean, m.std()),
                 12 => mean_abs_change(x),
                 13 => mean_change(x),
                 14 => abs_energy(x),
-                15 => cid_ce(x),
-                16 => variation_coefficient(x),
-                17 => mean_crossings(x) as f64,
+                15 => cid_ce_with(x, m.mean, m.std()),
+                16 => variation_coefficient_with(m.mean, m.std()),
+                17 => mean_crossings_with(x, m.mean) as f64,
                 18 => count_peaks(x) as f64,
-                19 => fraction_above_mean(x),
-                20 => longest_strike_above_mean(x) as f64,
-                21 => longest_strike_below_mean(x) as f64,
-                22 => linear_trend_slope(x),
-                23 => linear_trend_intercept(x),
+                19 => fraction_above_mean_with(x, m.mean),
+                20 => longest_strike_above_mean_with(x, m.mean) as f64,
+                21 => longest_strike_below_mean_with(x, m.mean) as f64,
+                22 => slope,
+                23 => linear_trend_intercept_with(x, m.mean, slope),
                 24 => longest_monotonic_increase(x) as f64,
                 25 => longest_monotonic_decrease(x) as f64,
-                26 => (mean(a) - mean(b)).abs(),
-                27 => (std_dev(a) - std_dev(b)).abs(),
+                26 => (ma.mean - mb.mean).abs(),
+                27 => (ma.std() - mb.std()).abs(),
                 28 => (min(a) - min(b)).abs(),
                 29 => (max(a) - max(b)).abs(),
-                30 => (median(a) - median(b)).abs(),
-                31 => (quantile(a, 0.25) - quantile(b, 0.25)).abs(),
-                32 => (quantile(a, 0.75) - quantile(b, 0.75)).abs(),
-                33 => (skewness(a) - skewness(b)).abs(),
-                34 => (kurtosis(a) - kurtosis(b)).abs(),
-                35 => (linear_trend_slope(a) - linear_trend_slope(b)).abs(),
+                30 => (quantile_sorted(sorted_a, 0.5) - quantile_sorted(sorted_b, 0.5)).abs(),
+                31 => (quantile_sorted(sorted_a, 0.25) - quantile_sorted(sorted_b, 0.25)).abs(),
+                32 => (quantile_sorted(sorted_a, 0.75) - quantile_sorted(sorted_b, 0.75)).abs(),
+                33 => (skewness_with(a, ma.mean, ma.std()) - skewness_with(b, mb.mean, mb.std()))
+                    .abs(),
+                34 => (kurtosis_with(a, ma.mean, ma.std()) - kurtosis_with(b, mb.mean, mb.std()))
+                    .abs(),
+                35 => (linear_trend_slope_with(a, ma.mean) - linear_trend_slope_with(b, mb.mean))
+                    .abs(),
                 36 => (rms(a) - rms(b)).abs(),
                 37 => x.first().copied().unwrap_or(0.0),
                 38 => x.last().copied().unwrap_or(0.0),
@@ -246,9 +306,9 @@ impl FeatureExtractor for Mvts {
                 },
                 40 => arg_of(|v, best| v > best),
                 41 => arg_of(|v, best| v < best),
-                42 => autocorrelation(x, 1),
-                43 => autocorrelation(x, 2),
-                44 => autocorrelation(x, 5),
+                42 => autocorrelation_with(x, 1, m.mean, m.var),
+                43 => autocorrelation_with(x, 2, m.mean, m.var),
+                44 => autocorrelation_with(x, 5, m.mean, m.var),
                 45 => x.iter().sum(),
                 46 => quantile_sorted(sorted, 0.1),
                 47 => quantile_sorted(sorted, 0.9),
@@ -256,6 +316,41 @@ impl FeatureExtractor for Mvts {
             });
         }
     }
+}
+
+/// The mean and population variance of one series.
+#[derive(Clone, Copy, Default)]
+struct Moments {
+    mean: f64,
+    var: f64,
+}
+
+impl Moments {
+    fn of(x: &[f64]) -> Self {
+        let mean = mean(x);
+        Self { mean, var: variance_with(x, mean) }
+    }
+
+    /// [`std_dev`]: the square root of the variance.
+    fn std(&self) -> f64 {
+        self.var.sqrt()
+    }
+}
+
+/// Appends the values behind two ascending runs of total-order keys to
+/// `out`, merged into one ascending run.
+fn merge_keys(a: &[u64], b: &[u64], out: &mut Vec<f64>) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] <= b[j] {
+            out.push(from_total_order_key(a[i]));
+            i += 1;
+        } else {
+            out.push(from_total_order_key(b[j]));
+            j += 1;
+        }
+    }
+    out.extend(a[i..].iter().chain(&b[j..]).map(|&k| from_total_order_key(k)));
 }
 
 #[cfg(test)]
@@ -325,7 +420,7 @@ mod tests {
         ];
         for x in &series {
             let full = extract(x);
-            let mut scratch = Vec::new();
+            let mut scratch = SelectScratch::default();
             // Every feature individually…
             for k in 0..48 {
                 let mut out = Vec::new();

@@ -28,6 +28,8 @@
 
 use alba_data::{MetricKind, MultiSeries};
 
+use crate::extract::SelectScratch;
+
 /// A borrowed multivariate window: per-metric series slices plus the
 /// metric kinds preprocessing needs. Implemented by [`MultiSeries`]
 /// here and by `alba-store::WindowView` (zero-copy over a stored
@@ -129,9 +131,9 @@ pub struct ExtractScratch {
     pub(crate) feats: Vec<f64>,
     /// Wanted per-metric feature offsets, in plan order.
     pub(crate) wanted: Vec<usize>,
-    /// Extractor-private buffer for
+    /// Extractor-private buffers for
     /// [`FeatureExtractor::extract_select`](crate::FeatureExtractor::extract_select).
-    pub(crate) inner: Vec<f64>,
+    pub(crate) inner: SelectScratch,
 }
 
 #[cfg(test)]

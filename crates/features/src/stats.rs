@@ -3,6 +3,11 @@
 //! All kernels tolerate short inputs (returning 0.0 where a statistic is
 //! undefined) because trimmed production time series can be arbitrarily
 //! short; feature extractors must never poison a whole sample with NaN.
+//!
+//! A kernel that reads the series mean (or variance) has a `*_with` twin
+//! that takes it precomputed, so an extractor computing several such
+//! features computes the moments once. The plain kernel calls its twin
+//! with `mean(x)` (and `variance(x)`), so both return the same bits.
 
 /// Arithmetic mean (0.0 for empty input).
 pub fn mean(x: &[f64]) -> f64 {
@@ -14,10 +19,14 @@ pub fn mean(x: &[f64]) -> f64 {
 
 /// Population variance (0.0 for fewer than 2 points).
 pub fn variance(x: &[f64]) -> f64 {
+    variance_with(x, mean(x))
+}
+
+/// [`variance`] about the precomputed mean `m`.
+pub fn variance_with(x: &[f64], m: f64) -> f64 {
     if x.len() < 2 {
         return 0.0;
     }
-    let m = mean(x);
     x.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / x.len() as f64
 }
 
@@ -76,11 +85,14 @@ pub fn median(x: &[f64]) -> f64 {
 
 /// Fisher skewness (0.0 when undefined or the series is constant).
 pub fn skewness(x: &[f64]) -> f64 {
+    skewness_with(x, mean(x), std_dev(x))
+}
+
+/// [`skewness`] from the precomputed mean `m` and standard deviation `s`.
+pub fn skewness_with(x: &[f64], m: f64, s: f64) -> f64 {
     if x.len() < 3 {
         return 0.0;
     }
-    let m = mean(x);
-    let s = std_dev(x);
     if s < 1e-12 {
         return 0.0;
     }
@@ -90,11 +102,14 @@ pub fn skewness(x: &[f64]) -> f64 {
 
 /// Excess kurtosis (0.0 when undefined or the series is constant).
 pub fn kurtosis(x: &[f64]) -> f64 {
+    kurtosis_with(x, mean(x), std_dev(x))
+}
+
+/// [`kurtosis`] from the precomputed mean `m` and standard deviation `s`.
+pub fn kurtosis_with(x: &[f64], m: f64, s: f64) -> f64 {
     if x.len() < 4 {
         return 0.0;
     }
-    let m = mean(x);
-    let s = std_dev(x);
     if s < 1e-12 {
         return 0.0;
     }
@@ -138,11 +153,14 @@ pub fn mean_change(x: &[f64]) -> f64 {
 /// the unbiased variant explodes on short series, poisoning feature
 /// vectors.
 pub fn autocorrelation(x: &[f64], lag: usize) -> f64 {
+    autocorrelation_with(x, lag, mean(x), variance(x))
+}
+
+/// [`autocorrelation`] from the precomputed mean `m` and variance `var`.
+pub fn autocorrelation_with(x: &[f64], lag: usize, m: f64, var: f64) -> f64 {
     if x.len() <= lag || lag == 0 {
         return 0.0;
     }
-    let m = mean(x);
-    let var = variance(x);
     if var < 1e-12 {
         return 0.0;
     }
@@ -153,12 +171,16 @@ pub fn autocorrelation(x: &[f64], lag: usize) -> f64 {
 
 /// Slope of the ordinary-least-squares line fit against time indices.
 pub fn linear_trend_slope(x: &[f64]) -> f64 {
+    linear_trend_slope_with(x, mean(x))
+}
+
+/// [`linear_trend_slope`] from the precomputed mean `xm`.
+pub fn linear_trend_slope_with(x: &[f64], xm: f64) -> f64 {
     let n = x.len();
     if n < 2 {
         return 0.0;
     }
     let tm = (n - 1) as f64 / 2.0;
-    let xm = mean(x);
     let mut num = 0.0;
     let mut den = 0.0;
     for (i, &v) in x.iter().enumerate() {
@@ -175,11 +197,15 @@ pub fn linear_trend_slope(x: &[f64]) -> f64 {
 
 /// Intercept of the OLS line fit.
 pub fn linear_trend_intercept(x: &[f64]) -> f64 {
+    linear_trend_intercept_with(x, mean(x), linear_trend_slope(x))
+}
+
+/// [`linear_trend_intercept`] from the precomputed mean `m` and slope.
+pub fn linear_trend_intercept_with(x: &[f64], m: f64, slope: f64) -> f64 {
     if x.is_empty() {
         return 0.0;
     }
-    let slope = linear_trend_slope(x);
-    mean(x) - slope * (x.len() - 1) as f64 / 2.0
+    m - slope * (x.len() - 1) as f64 / 2.0
 }
 
 /// Length of the longest strictly increasing run.
@@ -211,13 +237,21 @@ fn longest_run(x: &[f64], keep: impl Fn(f64, f64) -> bool) -> usize {
 
 /// Longest run of values strictly above the series mean.
 pub fn longest_strike_above_mean(x: &[f64]) -> usize {
-    let m = mean(x);
+    longest_strike_above_mean_with(x, mean(x))
+}
+
+/// [`longest_strike_above_mean`] about the precomputed mean `m`.
+pub fn longest_strike_above_mean_with(x: &[f64], m: f64) -> usize {
     longest_condition_run(x, |v| v > m)
 }
 
 /// Longest run of values strictly below the series mean.
 pub fn longest_strike_below_mean(x: &[f64]) -> usize {
-    let m = mean(x);
+    longest_strike_below_mean_with(x, mean(x))
+}
+
+/// [`longest_strike_below_mean`] about the precomputed mean `m`.
+pub fn longest_strike_below_mean_with(x: &[f64], m: f64) -> usize {
     longest_condition_run(x, |v| v < m)
 }
 
@@ -237,7 +271,11 @@ fn longest_condition_run(x: &[f64], cond: impl Fn(f64) -> bool) -> usize {
 
 /// Number of mean crossings.
 pub fn mean_crossings(x: &[f64]) -> usize {
-    let m = mean(x);
+    mean_crossings_with(x, mean(x))
+}
+
+/// [`mean_crossings`] of the precomputed mean `m`.
+pub fn mean_crossings_with(x: &[f64], m: f64) -> usize {
     x.windows(2).filter(|w| (w[0] > m) != (w[1] > m)).count()
 }
 
@@ -251,20 +289,29 @@ pub fn count_peaks(x: &[f64]) -> usize {
 
 /// Fraction of values strictly above the mean.
 pub fn fraction_above_mean(x: &[f64]) -> f64 {
+    fraction_above_mean_with(x, mean(x))
+}
+
+/// [`fraction_above_mean`] of the precomputed mean `m`.
+pub fn fraction_above_mean_with(x: &[f64], m: f64) -> f64 {
     if x.is_empty() {
         return 0.0;
     }
-    let m = mean(x);
     x.iter().filter(|&&v| v > m).count() as f64 / x.len() as f64
 }
 
 /// Coefficient of variation (`std / |mean|`; 0.0 for near-zero mean).
 pub fn variation_coefficient(x: &[f64]) -> f64 {
-    let m = mean(x);
+    variation_coefficient_with(mean(x), std_dev(x))
+}
+
+/// [`variation_coefficient`] from the precomputed mean `m` and standard
+/// deviation `s`.
+pub fn variation_coefficient_with(m: f64, s: f64) -> f64 {
     if m.abs() < 1e-12 {
         return 0.0;
     }
-    std_dev(x) / m.abs()
+    s / m.abs()
 }
 
 /// Approximate entropy with embedding dimension `m` and tolerance
@@ -330,16 +377,23 @@ pub fn binned_entropy(x: &[f64], bins: usize) -> f64 {
 /// Complexity-invariant distance estimate (CID, as in TSFRESH's `cid_ce`
 /// with normalisation).
 pub fn cid_ce(x: &[f64]) -> f64 {
-    if x.len() < 2 {
+    cid_ce_with(x, mean(x), std_dev(x))
+}
+
+/// [`cid_ce`] from the precomputed mean `m` and standard deviation `s`.
+/// Each point is normalised once per window it sits in, to the same bits
+/// each time, so no normalised copy is allocated.
+pub fn cid_ce_with(x: &[f64], m: f64, s: f64) -> f64 {
+    if x.len() < 2 || s < 1e-12 {
         return 0.0;
     }
-    let s = std_dev(x);
-    if s < 1e-12 {
-        return 0.0;
-    }
-    let m = mean(x);
-    let normed: Vec<f64> = x.iter().map(|v| (v - m) / s).collect();
-    normed.windows(2).map(|w| (w[1] - w[0]) * (w[1] - w[0])).sum::<f64>().sqrt()
+    x.windows(2)
+        .map(|w| {
+            let d = (w[1] - m) / s - (w[0] - m) / s;
+            d * d
+        })
+        .sum::<f64>()
+        .sqrt()
 }
 
 /// Sum of squares (abs energy in TSFRESH terms).

@@ -11,7 +11,9 @@
 //! `EXPERIMENTS.md` ("TSFRESH feature count"); what matters for the
 //! reproduction is that this extractor is strictly richer than MVTS.
 
-use crate::extract::FeatureExtractor;
+use alba_data::sort_total;
+
+use crate::extract::{FeatureExtractor, SelectScratch};
 use crate::fft::{real_fft_magnitudes, welch_psd};
 use crate::stats::*;
 
@@ -450,28 +452,31 @@ impl FeatureExtractor for TsFresh {
     /// share (the sorted copy, the sorted absolute changes, the
     /// autocorrelations, the ApEn subsample, the Welch PSD and its
     /// moments) is built once, and only when a wanted offset reads it;
-    /// the two sorted copies live in `scratch`. Each arm is the
+    /// the two sorted copies live in `scratch`, sorted through their
+    /// total-order keys ([`alba_data::sort_total`], the same bits as the
+    /// `total_cmp` sort in [`TsFresh::extract`]). Each arm is the
     /// expression [`TsFresh::extract`] pushes, so the subset is
     /// bit-identical to gathering from it (pinned by the tests below).
     fn extract_select(
         &self,
         x: &[f64],
         wanted: &[usize],
-        scratch: &mut Vec<f64>,
+        scratch: &mut SelectScratch,
         out: &mut Vec<f64>,
     ) {
         let needs = |reads: fn(usize) -> bool| wanted.iter().any(|&k| reads(k));
-        scratch.clear();
+        let values = &mut scratch.values;
+        values.clear();
         if needs(|k| matches!(k, 5 | 12 | 16..=24 | 64 | 134..=138)) {
-            scratch.extend_from_slice(x);
-            scratch.sort_by(f64::total_cmp);
+            values.extend_from_slice(x);
+            sort_total(values, &mut scratch.keys);
         }
-        let n_sorted = scratch.len();
+        let n_sorted = values.len();
         if needs(|k| matches!(k, 25..=33)) {
-            scratch.extend(x.windows(2).map(|w| (w[1] - w[0]).abs()));
-            scratch[n_sorted..].sort_by(f64::total_cmp);
+            values.extend(x.windows(2).map(|w| (w[1] - w[0]).abs()));
+            sort_total(&mut values[n_sorted..], &mut scratch.keys);
         }
-        let (sorted, diffs_sorted) = scratch.split_at(n_sorted);
+        let (sorted, diffs_sorted) = values.split_at(n_sorted);
         let (acf, acf_mean) =
             if needs(|k| matches!(k, 36..=46)) { autocorrelations(x) } else { ([0.0; 10], 0.0) };
         let short =
@@ -616,7 +621,7 @@ mod tests {
         ]
     }
 
-    fn select(x: &[f64], wanted: &[usize], scratch: &mut Vec<f64>) -> Vec<u64> {
+    fn select(x: &[f64], wanted: &[usize], scratch: &mut SelectScratch) -> Vec<u64> {
         let mut out = Vec::new();
         TsFresh.extract_select(x, wanted, scratch, &mut out);
         out.iter().map(|v| v.to_bits()).collect()
@@ -630,7 +635,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x75f5);
         // One scratch across every call, so a stale intermediate from an
         // earlier series or selection would show.
-        let mut scratch = Vec::new();
+        let mut scratch = SelectScratch::default();
         for x in &select_inputs() {
             let full = extract(x);
             let gather = |wanted: &[usize]| -> Vec<u64> {

@@ -1,13 +1,80 @@
 //! Property tests on the feature extractors: for *any* finite input series
 //! the extractors must emit exactly their advertised number of finite
 //! values, independent of length, scale or degeneracy — a broken invariant
-//! here poisons every downstream dataset.
+//! here poisons every downstream dataset. The selective paths must match
+//! the full extraction bit for bit on any input, finite or not.
 
-use alba_features::{FeatureExtractor, Mvts, TsFresh};
+use alba_features::{FeatureExtractor, Mvts, SelectScratch, TsFresh};
 use proptest::prelude::*;
 
 fn any_series() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e7f64..1e7, 0..300)
+}
+
+/// One value from the corners of `f64::total_cmp`: both NaN signs (one
+/// with a payload), both zeros, both infinities, subnormals, and a few
+/// repeated levels for ties.
+fn nasty_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::NAN),
+        Just(-f64::NAN),
+        Just(f64::from_bits(0x7ff8_0000_0000_0123)),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::MIN_POSITIVE / 8.0),
+        Just(-f64::MIN_POSITIVE / 4.0),
+        (0u8..3).prop_map(|v| f64::from(v) - 1.0),
+        -1e6f64..1e6,
+    ]
+}
+
+/// Series of length 0–130 (odd and even): all-corner values, or finite
+/// values with heavy ties.
+fn select_series() -> impl Strategy<Value = Vec<f64>> {
+    prop_oneof![
+        prop::collection::vec(nasty_value(), 0..131),
+        prop::collection::vec((0u8..4).prop_map(|v| f64::from(v) * 0.5), 0..131),
+        prop::collection::vec(-1e3f64..1e3, 0..131),
+    ]
+}
+
+/// A value's bits, with every NaN mapped to one pattern. When both
+/// operands of an x86 float op are NaN, the result carries the first
+/// one's sign and payload, and the optimiser may swap the operands of a
+/// commutative op differently in each inlined copy of a kernel. So on a
+/// series holding NaNs of both signs, one expression can return `NaN`
+/// in one caller and `-NaN` in another (the full path at the parent
+/// commit already differed from its own selective path this way).
+/// Every non-NaN value, `-0.0` included, is compared bit for bit.
+fn bits(v: f64) -> u64 {
+    if v.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+/// `extract_select` against gathering from `extract`, by [`bits`], for
+/// two random wanted lists (any order, with repeats) through one scratch,
+/// so a stale intermediate from the first call would show in the second.
+fn select_matches_extract(
+    extractor: &dyn FeatureExtractor,
+    series: &[f64],
+    wanted: [&[usize]; 2],
+) -> Result<(), TestCaseError> {
+    let mut full = Vec::new();
+    extractor.extract(series, &mut full);
+    let mut scratch = SelectScratch::default();
+    for wanted in wanted {
+        let mut out = Vec::new();
+        extractor.extract_select(series, wanted, &mut scratch, &mut out);
+        let got: Vec<u64> = out.iter().map(|&v| bits(v)).collect();
+        let want: Vec<u64> = wanted.iter().map(|&k| bits(full[k])).collect();
+        prop_assert_eq!(got, want, "wanted {:?}, series {:?}", wanted, series);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -65,5 +132,27 @@ proptest! {
         // Dispersion features unchanged by the shift.
         let std_idx = alba_features::MVTS_FEATURE_NAMES.iter().position(|&f| f == "std").unwrap();
         prop_assert!((a[std_idx] - b[std_idx]).abs() < 1e-6);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn mvts_select_is_bit_identical_to_extract(
+        series in select_series(),
+        first in prop::collection::vec(0usize..48, 0..96),
+        second in prop::collection::vec(0usize..48, 0..96),
+    ) {
+        select_matches_extract(&Mvts, &series, [&first, &second])?;
+    }
+
+    #[test]
+    fn tsfresh_select_is_bit_identical_to_extract(
+        series in select_series(),
+        first in prop::collection::vec(0usize..176, 0..64),
+        second in prop::collection::vec(0usize..176, 0..64),
+    ) {
+        select_matches_extract(&TsFresh, &series, [&first, &second])?;
     }
 }

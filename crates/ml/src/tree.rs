@@ -32,7 +32,7 @@
 //! gather-and-sort reference in the tests pins the trees bit for bit.
 
 use crate::model::Classifier;
-use alba_data::Matrix;
+use alba_data::{total_order_key, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -411,13 +411,6 @@ impl Presorted {
         let base = f * self.n_rows;
         self.values[base + self.rank[base + r as usize] as usize]
     }
-}
-
-/// An unsigned integer whose order is `f64::total_cmp`'s.
-fn total_order_key(v: f64) -> u64 {
-    let bits = v.to_bits() as i64;
-    let signed = bits ^ ((((bits >> 63) as u64) >> 1) as i64);
-    (signed as u64) ^ (1 << 63)
 }
 
 /// The sample one tree is fitted on: how many copies of each row it

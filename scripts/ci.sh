@@ -95,13 +95,23 @@ if [ "$FULL" = "1" ]; then
 fi
 
 echo "==> observability smoke (fleet_monitor example + artifact checks)"
-cargo run --release --example fleet_monitor >/dev/null
-python3 - <<'EOF'
+# The example writes into a temporary directory, so CI leaves results/
+# as committed; its event log must match the committed one byte for byte.
+OUT_MON=$(mktemp -d)
+trap 'rm -rf "$OUT_MON"' EXIT
+ALBA_MONITOR_OUT="$OUT_MON" cargo run --release --example fleet_monitor >/dev/null
+cmp "$OUT_MON/fleet_monitor_events.jsonl" results/fleet_monitor_events.jsonl \
+    || { echo "fleet_monitor events diverged from results/fleet_monitor_events.jsonl" >&2; exit 1; }
+python3 - "$OUT_MON" <<'EOF'
 import json
+import pathlib
+import sys
+
+out = pathlib.Path(sys.argv[1])
 
 # Every event line must be a JSON object with ts and kind.
 kinds = set()
-with open("results/fleet_monitor_events.jsonl") as f:
+with open(out / "fleet_monitor_events.jsonl") as f:
     lines = [line.rstrip("\n") for line in f]
 assert lines, "the observed example must emit events"
 for line in lines:
@@ -111,7 +121,7 @@ for line in lines:
 assert "label_request" in kinds and "model_swap" in kinds, kinds
 
 # The exposition dump must parse: TYPE headers, then name{labels} value.
-with open("results/fleet_monitor_metrics.prom") as f:
+with open(out / "fleet_monitor_metrics.prom") as f:
     metrics = [line.rstrip("\n") for line in f if line.strip()]
 names = set()
 for line in metrics:
@@ -128,14 +138,14 @@ for expected in ("stage_ns", "shard_busy_ns", "ingest_accepted_total"):
 print(f"  {len(lines)} events, {len(names)} metric families: OK")
 EOF
 
-echo "==> figure goldens (smoke seed-7 figures byte-identical to results/)"
-scripts/figure_goldens.sh smoke 7 fig3,fig4,fig5,fig6,fig8,table5
+echo "==> figure goldens (smoke seed-7 figures and tables byte-identical to results/)"
+scripts/figure_goldens.sh smoke 7 fig3,fig4,fig5,fig6,fig8,table4,table5
 
 echo "==> store smoke (cold run populates, warm run hits, results identical)"
 STORE_DIR=$(mktemp -d)
 OUT_COLD=$(mktemp -d)
 OUT_WARM=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM"' EXIT
 cargo run --release -p alba-bench --bin repro -- \
     --exp fig3 --scale smoke --store "$STORE_DIR" --out "$OUT_COLD" >/dev/null
 cargo run --release -p alba-bench --bin repro -- \
@@ -165,7 +175,7 @@ EOF
 echo "==> chaos smoke (seeded drill: recovery counters > 0, log replay byte-identical)"
 OUT_CHAOS_A=$(mktemp -d)
 OUT_CHAOS_B=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B"' EXIT
 # The drill itself exits non-zero unless faults were injected *and*
 # recovered from; two runs of one seeded plan must log identically.
 cargo run --release -p alba-bench --bin repro -- \
@@ -211,7 +221,7 @@ ALBA_BENCH_QUICK=1 ALBA_STORE_IO_ASSERT=10 \
 echo "==> gateway smoke (two equal-seed TCP runs byte-identical, Prometheus scrape parses)"
 OUT_GW_A=$(mktemp -d)
 OUT_GW_B=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B"' EXIT
 # The example itself asserts that the captured wire session replays
 # byte-identically offline (and that /trace/0 + /flightrec scrape
 # cleanly); CI additionally pins down that two independent live TCP
@@ -369,7 +379,7 @@ GRID_STORE=$(mktemp -d)
 OUT_GRID_COLD=$(mktemp -d)
 OUT_GRID_PART=$(mktemp -d)
 OUT_GRID_RES=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES"' EXIT
 # Reference: the full CI spec, storeless — every cell computed fresh.
 cargo run --release -p alba-bench --bin repro -- \
     --grid specs/grid_ci.json --grid-workers 2 --out "$OUT_GRID_COLD" >/dev/null
@@ -413,7 +423,7 @@ FIG6_STORE=$(mktemp -d)
 OUT_FIG6_COLD=$(mktemp -d)
 OUT_FIG6_WARM=$(mktemp -d)
 OUT_FIG6_W2=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$FIG6_STORE" "$OUT_FIG6_COLD" "$OUT_FIG6_WARM" "$OUT_FIG6_W2"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$FIG6_STORE" "$OUT_FIG6_COLD" "$OUT_FIG6_WARM" "$OUT_FIG6_W2"' EXIT
 FIG6=(cargo run --release -p alba-bench --bin repro -- --grid specs/fig6.json --scale smoke --seed 7)
 "${FIG6[@]}" --grid-workers 1 --store "$FIG6_STORE" --out "$OUT_FIG6_COLD" >/dev/null
 "${FIG6[@]}" --grid-workers 2 --store "$FIG6_STORE" --out "$OUT_FIG6_WARM" >/dev/null
@@ -465,7 +475,7 @@ EOF
 echo "==> parallel smoke (fleet_monitor at 1 vs 4 workers: artifacts byte-identical)"
 OUT_PAR_1=$(mktemp -d)
 OUT_PAR_4=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$OUT_PAR_1" "$OUT_PAR_4"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$FIG6_STORE" "$OUT_FIG6_COLD" "$OUT_FIG6_WARM" "$OUT_FIG6_W2" "$OUT_PAR_1" "$OUT_PAR_4"' EXIT
 ALBA_WORKERS=1 ALBA_MONITOR_OUT="$OUT_PAR_1" \
     cargo run --release --example fleet_monitor >/dev/null
 ALBA_WORKERS=4 ALBA_MONITOR_OUT="$OUT_PAR_4" \
