@@ -14,8 +14,8 @@
 # (`results/<exp>_..<scale>..{json,svg}`, plus `grid_<exp>.json` at
 # smoke scale) that repro did not write.
 #
-#   scripts/figure_goldens.sh smoke 7 fig3,fig4,fig5,fig6,fig8,table5
-#       CI's check (about a minute on 2 vCPUs).
+#   scripts/figure_goldens.sh smoke 7 fig3,fig4,fig5,fig6,fig8,table4,table5
+#       CI's check (about four minutes on 2 vCPUs, two of them table4).
 #   scripts/figure_goldens.sh default 42 fig3,fig4,fig5,fig6,fig7,fig8,table5,ablations
 #       Every committed default-scale artifact; run it by hand after
 #       changing any figure's code path (about 16 minutes on 2 vCPUs).
