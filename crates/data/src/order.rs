@@ -5,6 +5,9 @@
 //! two values `total_cmp` calls equal have the same bits, so stability
 //! cannot change which bits land where. The forest presort and the
 //! extractors' sorted copies both sort this way.
+//!
+//! NaN is the one value whose bits arithmetic does not fix:
+//! [`canonical_nan`] gives every NaN one pattern.
 
 /// An unsigned integer whose order is `f64::total_cmp`'s.
 pub fn total_order_key(v: f64) -> u64 {
@@ -17,6 +20,19 @@ pub fn total_order_key(v: f64) -> u64 {
 pub fn from_total_order_key(key: u64) -> f64 {
     let signed = (key ^ (1 << 63)) as i64;
     f64::from_bits((signed ^ ((((signed >> 63) as u64) >> 1) as i64)) as u64)
+}
+
+/// Replaces every NaN in `values` with `f64::NAN` and leaves every other
+/// value's bits alone. When both operands of an x86 float op are NaN
+/// the result takes the first one's sign and payload, and the optimiser
+/// may order a commutative op's operands differently in each inlined
+/// copy of a kernel, so one expression can return `NaN` in one caller
+/// and `-NaN` in another. The feature extractors pass what they append
+/// through this, so their outputs agree bit for bit.
+pub fn canonical_nan(values: &mut [f64]) {
+    for v in values.iter_mut().filter(|v| v.is_nan()) {
+        *v = f64::NAN;
+    }
 }
 
 /// Sorts `values` into `f64::total_cmp` order through their keys;
@@ -97,6 +113,16 @@ mod tests {
             sort_total(&mut got, &mut keys);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        #[test]
+        fn canonical_nan_rewrites_only_nan(values in prop::collection::vec(nasty(), 0..40)) {
+            let mut got = values.clone();
+            canonical_nan(&mut got);
+            for (g, v) in got.iter().zip(&values) {
+                let want = if v.is_nan() { f64::NAN } else { *v };
+                prop_assert_eq!(g.to_bits(), want.to_bits());
+            }
         }
     }
 }

@@ -9,8 +9,12 @@ use crate::preprocess::{preprocess, PreprocessConfig};
 /// A per-metric time-series feature extractor (MVTS, TSFRESH, ...).
 ///
 /// Implementations must be deterministic, produce exactly
-/// `n_features_per_metric()` finite values for *any* input (including empty
-/// and constant series), and be safe to call from multiple threads.
+/// `n_features_per_metric()` values for *any* input (including empty and
+/// constant series), and be safe to call from multiple threads. The
+/// values are finite for finite input that does not overflow a kernel
+/// (values far from `f64::MAX`). Non-finite input can give NaN or ±inf;
+/// every NaN returned is `f64::NAN`, one bit pattern
+/// ([`alba_data::canonical_nan`]).
 pub trait FeatureExtractor: Sync {
     /// Short identifier (`"mvts"`, `"tsfresh"`).
     fn name(&self) -> &'static str;

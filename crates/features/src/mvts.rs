@@ -29,7 +29,7 @@
 //! The sort keys and the sorted copies live in the caller's
 //! [`SelectScratch`].
 
-use alba_data::{from_total_order_key, total_order_key};
+use alba_data::{canonical_nan, from_total_order_key, total_order_key};
 
 use crate::extract::{FeatureExtractor, SelectScratch};
 use crate::stats::*;
@@ -109,6 +109,7 @@ impl FeatureExtractor for Mvts {
     }
 
     fn extract(&self, x: &[f64], out: &mut Vec<f64>) {
+        let start = out.len();
         let mut sorted = x.to_vec();
         sorted.sort_by(f64::total_cmp);
         let q25 = quantile_sorted(&sorted, 0.25);
@@ -188,6 +189,7 @@ impl FeatureExtractor for Mvts {
         out.push(x.iter().sum());
         out.push(quantile_sorted(&sorted, 0.1));
         out.push(quantile_sorted(&sorted, 0.9));
+        canonical_nan(&mut out[start..]);
     }
 
     /// Computes only the wanted offsets, sharing the intermediates listed
@@ -203,6 +205,7 @@ impl FeatureExtractor for Mvts {
         scratch: &mut SelectScratch,
         out: &mut Vec<f64>,
     ) {
+        let start = out.len();
         let needs = |reads: fn(usize) -> bool| wanted.iter().any(|&k| reads(k));
         let mid = x.len() / 2;
         let (a, b) = x.split_at(mid);
@@ -315,6 +318,7 @@ impl FeatureExtractor for Mvts {
                 _ => panic!("mvts feature offset {k} out of range (npm = 48)"),
             });
         }
+        canonical_nan(&mut out[start..]);
     }
 }
 

@@ -11,7 +11,7 @@
 //! `EXPERIMENTS.md` ("TSFRESH feature count"); what matters for the
 //! reproduction is that this extractor is strictly richer than MVTS.
 
-use alba_data::sort_total;
+use alba_data::{canonical_nan, sort_total};
 
 use crate::extract::{FeatureExtractor, SelectScratch};
 use crate::fft::{real_fft_magnitudes, welch_psd};
@@ -311,6 +311,7 @@ impl FeatureExtractor for TsFresh {
     }
 
     fn extract(&self, x: &[f64], out: &mut Vec<f64>) {
+        let start = out.len();
         let mut sorted = x.to_vec();
         sorted.sort_by(f64::total_cmp);
         let q25 = quantile_sorted(&sorted, 0.25);
@@ -446,6 +447,7 @@ impl FeatureExtractor for TsFresh {
         out.push(spec_var);
         out.push(spec_skew);
         out.push(spec_kurt);
+        canonical_nan(&mut out[start..]);
     }
 
     /// Computes only the wanted offsets. An intermediate several features
@@ -464,6 +466,7 @@ impl FeatureExtractor for TsFresh {
         scratch: &mut SelectScratch,
         out: &mut Vec<f64>,
     ) {
+        let start = out.len();
         let needs = |reads: fn(usize) -> bool| wanted.iter().any(|&k| reads(k));
         let values = &mut scratch.values;
         values.clear();
@@ -568,6 +571,7 @@ impl FeatureExtractor for TsFresh {
                 _ => panic!("tsfresh feature offset {k} out of range (npm = 176)"),
             });
         }
+        canonical_nan(&mut out[start..]);
     }
 }
 

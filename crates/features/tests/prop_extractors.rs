@@ -40,25 +40,10 @@ fn select_series() -> impl Strategy<Value = Vec<f64>> {
     ]
 }
 
-/// A value's bits, with every NaN mapped to one pattern. When both
-/// operands of an x86 float op are NaN, the result carries the first
-/// one's sign and payload, and the optimiser may swap the operands of a
-/// commutative op differently in each inlined copy of a kernel. So on a
-/// series holding NaNs of both signs, one expression can return `NaN`
-/// in one caller and `-NaN` in another (the full path at the parent
-/// commit already differed from its own selective path this way).
-/// Every non-NaN value, `-0.0` included, is compared bit for bit.
-fn bits(v: f64) -> u64 {
-    if v.is_nan() {
-        f64::NAN.to_bits()
-    } else {
-        v.to_bits()
-    }
-}
-
-/// `extract_select` against gathering from `extract`, by [`bits`], for
-/// two random wanted lists (any order, with repeats) through one scratch,
-/// so a stale intermediate from the first call would show in the second.
+/// `extract_select` against gathering from `extract`, bit for bit (NaN
+/// and `-0.0` included), for two random wanted lists (any order, with
+/// repeats) through one scratch, so a stale intermediate from the first
+/// call would show in the second.
 fn select_matches_extract(
     extractor: &dyn FeatureExtractor,
     series: &[f64],
@@ -70,8 +55,8 @@ fn select_matches_extract(
     for wanted in wanted {
         let mut out = Vec::new();
         extractor.extract_select(series, wanted, &mut scratch, &mut out);
-        let got: Vec<u64> = out.iter().map(|&v| bits(v)).collect();
-        let want: Vec<u64> = wanted.iter().map(|&k| bits(full[k])).collect();
+        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> = wanted.iter().map(|&k| full[k].to_bits()).collect();
         prop_assert_eq!(got, want, "wanted {:?}, series {:?}", wanted, series);
     }
     Ok(())

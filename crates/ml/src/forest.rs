@@ -14,7 +14,7 @@
 //! parallelises across `alba-par` shards instead, one level up.
 
 use crate::model::Classifier;
-use crate::tree::{Bag, Criterion, DecisionTree, MaxFeatures, Presorted, TreeParams};
+use crate::tree::{Criterion, DecisionTree, MaxFeatures, Presorted, TreeParams};
 use alba_data::{bootstrap_indices, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,14 +88,18 @@ impl Classifier for RandomForest {
                 max_features: self.params.max_features,
                 seed,
             };
-            let bag = if self.params.bootstrap {
+            let weight = if self.params.bootstrap {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xB007);
-                Bag::drawn(x.rows(), &bootstrap_indices(x.rows(), x.rows(), &mut rng))
+                let mut weight = vec![0.0; x.rows()];
+                for r in bootstrap_indices(x.rows(), x.rows(), &mut rng) {
+                    weight[r] += 1.0;
+                }
+                weight
             } else {
-                Bag::all(x.rows())
+                vec![1.0; x.rows()]
             };
             let mut tree = DecisionTree::new(params);
-            tree.fit_presorted(&table, y, n_classes, &bag);
+            tree.fit_presorted(&table, y, n_classes, &weight);
             tree
         });
     }
@@ -167,8 +171,6 @@ mod tests {
                     for max_features in [MaxFeatures::All, MaxFeatures::Sqrt, MaxFeatures::Count(3)]
                     {
                         for max_depth in [None, Some(4)] {
-                            let max_depth =
-                                if shape.nan { max_depth.or(Some(8)) } else { max_depth };
                             let params = ForestParams {
                                 n_estimators: 4,
                                 max_depth,

@@ -78,7 +78,10 @@ impl RegTree {
     }
 }
 
-/// Per-feature histogram bin edges (quantile binning).
+/// Per-feature histogram bin edges (quantile binning of the non-NaN
+/// values). NaN falls in the last bin, which no split threshold has on
+/// its left, so a NaN row trains right of every split, where
+/// `predict_one` sends it (`NaN <= threshold` is false).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct Binning {
     /// `edges[f]` holds ascending upper edges; bin b covers values
@@ -93,7 +96,7 @@ impl Binning {
         let mut col: Vec<f64> = Vec::with_capacity(rows);
         for c in 0..cols {
             col.clear();
-            col.extend((0..rows).map(|r| x.get(r, c)));
+            col.extend((0..rows).map(|r| x.get(r, c)).filter(|v| !v.is_nan()));
             col.sort_by(|a, b| a.total_cmp(b));
             col.dedup();
             let mut e: Vec<f64> = if col.len() <= max_bins {
@@ -113,11 +116,15 @@ impl Binning {
         Self { edges }
     }
 
-    /// Bin index of a value (training-time; values beyond the last edge map
-    /// to the last bin).
+    /// Bin index of a value (training-time; NaN and values beyond the
+    /// last edge map to the last bin).
     fn bin(&self, feature: usize, v: f64) -> usize {
         let e = &self.edges[feature];
-        e.partition_point(|&edge| edge < v).min(e.len().saturating_sub(1))
+        let last = e.len().saturating_sub(1);
+        if v.is_nan() {
+            return last;
+        }
+        e.partition_point(|&edge| edge < v).min(last)
     }
 
     fn n_bins(&self, feature: usize) -> usize {
@@ -509,6 +516,26 @@ mod tests {
         let mut g = GradientBoosting::new(quick_params());
         g.fit(&x, &y, 2);
         assert_eq!(g.predict(&x), y);
+    }
+
+    /// NaN rows share the last bin with the largest value, so they train
+    /// in the leaf `predict_one` sends them to and predict their label.
+    #[test]
+    fn nan_rows_train_where_predict_sends_them() {
+        let x = Matrix::from_rows(&[f64::NAN, f64::NAN, 5.0, 6.0, 7.0, 8.0].map(|v| vec![v]));
+        let y = vec![1, 1, 0, 0, 0, 0];
+        let mut g = GradientBoosting::new(quick_params());
+        g.fit(&x, &y, 2);
+        assert_eq!(g.predict(&x)[..2], [1, 1]);
+    }
+
+    #[test]
+    fn binning_skips_nan_of_either_sign() {
+        let x = Matrix::from_rows(&[-f64::NAN, 5.0, f64::NAN, 6.0, 5.0].map(|v| vec![v]));
+        let binning = Binning::fit(&x, 64);
+        assert_eq!(binning.edges[0], [5.0, 6.0]);
+        assert_eq!(binning.bin(0, -f64::NAN), 1);
+        assert_eq!(binning.bin(0, f64::NAN), 1);
     }
 
     #[test]

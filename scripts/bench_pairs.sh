@@ -18,7 +18,11 @@
 #             by more than the parent's interquartile range;
 #   worse   — the change's median is worse than the parent's by more
 #             than the metric's bound;
-#   within  — neither.
+#   unresolved — the spread (the larger side's interquartile range over
+#             the parent's median) is wider than the bound, and not
+#             every change run beats every parent run, so the runs
+#             cannot show the metric held;
+#   within  — none of these.
 # Every run's full output stays in the temporary directory while the
 # script runs; set BENCH_PAIRS_KEEP=1 to keep it afterwards.
 
@@ -121,10 +125,14 @@ for m in spec["end_to_end"]:
     pq, cq = quartiles(pv), quartiles(cv)
     gap = (pm - cm) if lower else (cm - pm)
     worse = -gap / abs(pm) if pm else 0.0
+    spread = max(pq[1] - pq[0], cq[1] - cq[0]) / abs(pm) if pm else 0.0
+    every_run_better = max(cv) < min(pv) if lower else min(cv) > max(pv)
     if wins * 10 >= 9 * len(both) and gap > pq[1] - pq[0]:
         verdict = "gain"
     elif worse > m["bound"]:
         verdict = f"worse by {worse:.1%}"
+    elif spread > m["bound"] and not every_run_better:
+        verdict = f"unresolved (spread {spread:.1%})"
     else:
         verdict = "within"
     fmt = lambda med, q: f"{med:.6g} [{q[0]:.6g}, {q[1]:.6g}]"

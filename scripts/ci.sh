@@ -218,7 +218,7 @@ echo "==> store I/O bench (warm reads must be >= 10x faster than cold)"
 ALBA_BENCH_QUICK=1 ALBA_STORE_IO_ASSERT=10 \
     cargo bench -p alba-bench --bench store_io
 
-echo "==> gateway smoke (two equal-seed TCP runs byte-identical, Prometheus scrape parses)"
+echo "==> gateway smoke (two equal-seed TCP runs byte-identical and equal to results/, Prometheus scrape parses)"
 OUT_GW_A=$(mktemp -d)
 OUT_GW_B=$(mktemp -d)
 trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B"' EXIT
@@ -237,6 +237,13 @@ cmp "$OUT_GW_A/fleet_gateway_trace.jsonl" "$OUT_GW_B/fleet_gateway_trace.jsonl" 
     || { echo "gateway trace logs diverged across equal-seed runs" >&2; exit 1; }
 cmp "$OUT_GW_A/flightrec_shutdown.jsonl" "$OUT_GW_B/flightrec_shutdown.jsonl" \
     || { echo "flight-recorder dumps diverged across equal-seed runs" >&2; exit 1; }
+# The run retrains twice (two model_swap events), so the committed event
+# log and trace also pin the served refit path; the committed .prom file
+# holds wall-clock values and is not compared.
+for f in fleet_gateway_events.jsonl fleet_gateway_trace.jsonl; do
+    cmp "$OUT_GW_A/$f" "results/$f" \
+        || { echo "$f diverged from results/$f" >&2; exit 1; }
+done
 python3 - "$OUT_GW_A" <<'EOF'
 import json
 import pathlib
