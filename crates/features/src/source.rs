@@ -21,9 +21,9 @@
 //! * [`ExtractScratch`] — the reusable buffers; one per shard/thread.
 //!
 //! The contract, pinned by golden tests against
-//! [`FeatureView::unscaled_row`](crate::FeatureView::unscaled_row):
-//! the planned path is **bit-identical** to the materialised path,
-//! including NaN-gap interpolation, counter differencing and the
+//! [`FeatureView::unscaled_row`](crate::FeatureView::unscaled_row), the
+//! one materialised reference: the planned path is **bit-identical** to
+//! it, including NaN-gap interpolation, counter differencing and the
 //! trim's middle-sample fallback.
 
 use alba_data::{MetricKind, MultiSeries};

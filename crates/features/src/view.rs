@@ -8,6 +8,11 @@
 //! windows identically or the model sees garbage. `FeatureView` is that
 //! shared implementation.
 //!
+//! Monitors extract through [`FeatureView::unscaled_row_into`], which
+//! reads only the planned metrics of a borrowed window.
+//! [`FeatureView::unscaled_row`] is the one materialised reference it is
+//! pinned against: it clones the window and extracts every metric.
+//!
 //! [`NodeMonitor`]: ../albadross/monitor/struct.NodeMonitor.html
 
 use crate::extract::FeatureExtractor;
@@ -75,9 +80,9 @@ impl FeatureView {
     /// preprocesses a copy of the window, runs the extractor over every
     /// metric, and projects the concatenated output.
     ///
-    /// Batched callers collect these rows into a matrix and call
-    /// [`FeatureView::scale_inplace`] once; single-window callers can use
-    /// [`FeatureView::scaled_row`] directly.
+    /// The one materialised reference: [`FeatureView::unscaled_row_into`]
+    /// must match it bit for bit. Callers collect rows into a matrix and
+    /// call [`FeatureView::scale_inplace`] once.
     pub fn unscaled_row(
         &self,
         extractor: &dyn FeatureExtractor,
@@ -148,19 +153,7 @@ impl FeatureView {
         }
     }
 
-    /// Extracts one scaled model-input row from a telemetry window.
-    pub fn scaled_row(
-        &self,
-        extractor: &dyn FeatureExtractor,
-        window: &MultiSeries,
-        pre: &PreprocessConfig,
-    ) -> Vec<f64> {
-        let mut x = Matrix::from_rows(&[self.unscaled_row(extractor, window, pre)]);
-        self.scaler.transform_inplace(&mut x);
-        x.row(0).to_vec()
-    }
-
-    /// Scales a matrix of projected rows in place (batched path).
+    /// Scales a matrix of projected rows in place.
     pub fn scale_inplace(&self, x: &mut Matrix) {
         self.scaler.transform_inplace(x);
     }
@@ -239,7 +232,8 @@ mod tests {
         let scaler = MinMaxScaler::fit(&Matrix::from_rows(&train_rows));
         let view = FeatureView::new(selected.clone(), scaler.clone());
 
-        let got = view.scaled_row(&Mvts, &w, &pre());
+        let mut got = Matrix::from_rows(&[view.unscaled_row(&Mvts, &w, &pre())]);
+        view.scale_inplace(&mut got);
 
         let mut full = Vec::new();
         let mut pp = w.clone();
@@ -250,7 +244,7 @@ mod tests {
         let manual: Vec<f64> = selected.iter().map(|&c| full[c]).collect();
         let mut manual = Matrix::from_rows(&[manual]);
         scaler.transform_inplace(&mut manual);
-        assert_eq!(got.as_slice(), manual.row(0));
+        assert_eq!(got.row(0), manual.row(0));
     }
 
     #[test]
@@ -268,9 +262,10 @@ mod tests {
         let mut batch = Matrix::from_rows(&rows);
         view.scale_inplace(&mut batch);
 
-        let single = view.scaled_row(&Mvts, &w, &pre());
+        let mut single = Matrix::from_rows(&[view.unscaled_row(&Mvts, &w, &pre())]);
+        view.scale_inplace(&mut single);
         for r in 0..4 {
-            assert_eq!(batch.row(r), single.as_slice());
+            assert_eq!(batch.row(r), single.row(0));
         }
     }
 

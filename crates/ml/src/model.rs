@@ -26,23 +26,18 @@ pub trait Classifier: Send + Sync {
     /// Predicted class per sample (argmax of `predict_proba`, ties toward
     /// the lower class index).
     fn predict(&self, x: &Matrix) -> Vec<usize> {
-        let proba = self.predict_proba(x);
-        proba
-            .rows_iter()
-            .map(|row| {
-                let mut best = 0usize;
-                for (i, &v) in row.iter().enumerate().skip(1) {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
-            .collect()
+        self.predict_proba(x).rows_iter().map(argmax).collect()
     }
 
     /// Number of classes the model was fitted for (0 before `fit`).
     fn n_classes(&self) -> usize;
+}
+
+/// The class a probability row predicts: the index of its largest entry,
+/// ties toward the lower index; 0 for an empty row. The scan moves only on
+/// a strictly greater entry, so a NaN never wins from a later position.
+pub fn argmax(row: &[f64]) -> usize {
+    (1..row.len()).fold(0, |best, i| if row[i] > row[best] { i } else { best })
 }
 
 /// Normalises a probability row in place; falls back to uniform when the
@@ -101,6 +96,14 @@ mod tests {
         let c = Constant { proba: vec![0.4, 0.4, 0.2] };
         let x = Matrix::zeros(3, 1);
         assert_eq!(c.predict(&x), vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn argmax_breaks_ties_low() {
+        assert_eq!(argmax(&[]), 0);
+        assert_eq!(argmax(&[0.2, 0.5, 0.5, 0.3]), 1);
+        assert_eq!(argmax(&[0.1, f64::NAN, 0.9]), 2);
+        assert_eq!(argmax(&[f64::NAN, 0.9]), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::forest::RandomForest;
 use crate::gbm::GradientBoosting;
 use crate::linear::LogisticRegression;
 use crate::mlp::MlpClassifier;
-use crate::model::Classifier;
+use crate::model::{argmax, Classifier};
 use alba_data::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -97,12 +97,7 @@ impl DiagnosisModel {
         (0..proba.rows())
             .map(|r| {
                 let row = proba.row(r);
-                let mut best = 0usize;
-                for (i, &v) in row.iter().enumerate().skip(1) {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
+                let best = argmax(row);
                 Diagnosis { label: self.class_names[best].clone(), confidence: row[best] }
             })
             .collect()

@@ -529,31 +529,7 @@ impl FleetService {
     /// Advances the service by one second of fleet time. Returns `false`
     /// once the replay is exhausted and every queue has drained.
     pub fn tick(&mut self) -> bool {
-        // alba-lint: allow(no-ambient-time) reason="wall busy-time measurement only; excluded from replay-identity artifacts"
-        let start = Instant::now();
-        let now = self.tick;
-
-        // 0. Chaos pre-stage: open this tick's fault windows (emitting
-        //    `fault_injected` events on the tick thread, in plan order)
-        //    and arm the machinery they target.
-        if self.chaos.is_some() {
-            self.open_fault_windows(now);
-        }
-
-        // 1. Replay emits; the ingest layer buffers (or sheds). Under
-        //    chaos every sample first passes the telemetry injector and
-        //    the quarantine gate.
-        let trace_t0 = self.tracer.now_ns();
-        let ingest_span = self.obs.span("stage_ns", &[("stage", "ingest")]);
-        let emitted = self.replay.tick();
-        let n_emitted = emitted.len();
-        self.offer_batch(emitted, now);
-        ingest_span.finish();
-        self.trace_stage(now, "ingest", trace_t0, n_emitted as u64);
-
-        self.tick_core(now);
-        self.tick += 1;
-        self.wall_ns += start.elapsed().as_nanos() as u64;
+        self.advance(|svc, _| svc.replay.tick());
         !(self.replay.is_exhausted() && self.ingest.is_empty())
     }
 
@@ -568,15 +544,30 @@ impl FleetService {
     /// Returns `false` once the frontier is done and every queue has
     /// drained.
     pub fn tick_from(&mut self, frontier: &mut dyn NetFrontier) -> bool {
+        self.advance(|_, now| frontier.poll(now));
+        !(frontier.is_done(self.tick) && self.ingest.is_empty())
+    }
+
+    /// One tick's body around a sample source: `emit` returns the
+    /// samples of tick `now`.
+    fn advance(&mut self, emit: impl FnOnce(&mut Self, usize) -> Vec<TelemetrySample>) {
         // alba-lint: allow(no-ambient-time) reason="wall busy-time measurement only; excluded from replay-identity artifacts"
         let start = Instant::now();
         let now = self.tick;
+
+        // 0. Chaos pre-stage: open this tick's fault windows (emitting
+        //    `fault_injected` events on the tick thread, in plan order)
+        //    and arm the machinery they target.
         if self.chaos.is_some() {
             self.open_fault_windows(now);
         }
+
+        // 1. The source emits; the ingest layer buffers (or sheds). Under
+        //    chaos every sample first passes the telemetry injector and
+        //    the quarantine gate.
         let trace_t0 = self.tracer.now_ns();
         let ingest_span = self.obs.span("stage_ns", &[("stage", "ingest")]);
-        let emitted = frontier.poll(now);
+        let emitted = emit(self, now);
         let n_emitted = emitted.len();
         self.offer_batch(emitted, now);
         ingest_span.finish();
@@ -585,7 +576,6 @@ impl FleetService {
         self.tick_core(now);
         self.tick += 1;
         self.wall_ns += start.elapsed().as_nanos() as u64;
-        !(frontier.is_done(self.tick) && self.ingest.is_empty())
     }
 
     /// Offers one tick's emitted samples into ingest, through the chaos
@@ -596,7 +586,7 @@ impl FleetService {
             for s in emitted {
                 self.offer_through_chaos(s, now);
             }
-        } else if self.tracer.is_enabled() {
+        } else {
             for s in emitted {
                 let (node, at) = (s.node, s.at);
                 let accepted = self.ingest.offer(s);
@@ -607,10 +597,6 @@ impl FleetService {
                     at,
                     if accepted { "accepted" } else { "shed" },
                 );
-            }
-        } else {
-            for s in emitted {
-                self.ingest.offer(s);
             }
         }
     }

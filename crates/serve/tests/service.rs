@@ -4,7 +4,8 @@
 
 use std::sync::Arc;
 
-use alba_features::Mvts;
+use alba_data::Matrix;
+use alba_features::{ExtractScratch, Mvts};
 use alba_ml::{Classifier, DiagnosisModel, FittedModel, ForestParams, RandomForest};
 use alba_serve::{FleetConfig, FleetService, ReplaySource, ServeConfig};
 use alba_telemetry::Scale;
@@ -129,6 +130,19 @@ fn unbatched_baseline_matches_batched_service() {
     assert!(calls_b < calls_u, "batching must amortise model calls");
 }
 
+/// One sample through a lone monitor's hooks: push, extract, scale,
+/// diagnose, apply.
+fn ingest(monitor: &mut NodeMonitor, scratch: &mut ExtractScratch, readings: &[f64]) {
+    if monitor.push(readings) {
+        let mut row = Vec::new();
+        monitor.window_row_into(scratch, &mut row);
+        let mut x = Matrix::from_rows(&[row]);
+        monitor.view().scale_inplace(&mut x);
+        let diagnosis = monitor.model().diagnose(&x).remove(0);
+        monitor.apply_diagnosis(diagnosis);
+    }
+}
+
 /// Predictions change exactly at the swap boundary: verdicts before the
 /// swap match a model-A-only run, verdicts after match a model-B-only
 /// run (the buffered telemetry and streak survive the swap untouched).
@@ -165,6 +179,7 @@ fn hot_swap_changes_predictions_only_at_the_boundary() {
     let mut swapped = mk(&model_a);
 
     let swap_at_window = 4;
+    let mut scratch = ExtractScratch::default();
     let mut row = vec![0.0; stream.n_metrics()];
     for t in 0..stream.len() {
         for (m, r) in row.iter_mut().enumerate() {
@@ -173,9 +188,9 @@ fn hot_swap_changes_predictions_only_at_the_boundary() {
         if swapped.verdicts().len() == swap_at_window {
             swapped.set_model(Arc::clone(&model_b));
         }
-        only_a.ingest(&row);
-        only_b.ingest(&row);
-        swapped.ingest(&row);
+        ingest(&mut only_a, &mut scratch, &row);
+        ingest(&mut only_b, &mut scratch, &row);
+        ingest(&mut swapped, &mut scratch, &row);
     }
     assert!(only_a.verdicts().len() > swap_at_window + 2, "stream long enough to straddle");
     // Models genuinely disagree somewhere (otherwise the test is vacuous).

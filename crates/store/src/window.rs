@@ -4,9 +4,11 @@
 //! (the service defaults to 60 s windows every 10 s). Decoded columns
 //! already live contiguously in a [`MultiSeries`], so a window is just a
 //! `(start, len)` view — [`WindowView::metric`] hands out sub-slices of
-//! the decoded columns without copying a sample. Copies happen only at
-//! the extractor boundary ([`WindowView::to_series`]), which needs a
-//! mutable series for preprocessing anyway.
+//! the decoded columns without copying a sample. A view is a
+//! [`SeriesSource`], so planned extraction
+//! ([`alba_features::FeatureView::unscaled_row_into`]) reads it directly;
+//! [`WindowView::to_series`] copies a window out only for the
+//! materialised reference ([`alba_features::FeatureView::unscaled_row`]).
 
 use alba_data::{MetricDef, MetricKind, MultiSeries};
 use alba_features::SeriesSource;
