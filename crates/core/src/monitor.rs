@@ -217,6 +217,13 @@ impl NodeMonitor {
         let mut reads: Vec<usize> = view.selected().iter().map(|&c| c / npm).collect();
         reads.sort_unstable();
         reads.dedup();
+        if let Some(&m) = reads.last() {
+            assert!(
+                m < metrics.len(),
+                "the view reads metric {m}, but the catalog has {} metrics",
+                metrics.len()
+            );
+        }
         let local: Vec<usize> = view
             .selected()
             .iter()
@@ -619,26 +626,24 @@ mod tests {
         }
     }
 
-    /// With no metrics there is no window to fill: as with an empty
-    /// `MultiSeries`, the monitor never reports a window due.
+    /// A view that reads metrics the catalog lacks is rejected when the
+    /// monitor is built, not on the first push.
     #[test]
-    fn empty_catalog_never_completes_a_window() {
+    #[should_panic(expected = "but the catalog has 0 metrics")]
+    fn empty_catalog_rejected() {
         let (model, view) = deployable();
-        let mut monitor =
-            NodeMonitor::new(model, Arc::new(Mvts), vec![], view, MonitorConfig::default());
-        for _ in 0..500 {
-            assert!(!monitor.push(&[]));
-        }
-        assert_eq!(monitor.ingested(), 500);
+        let _ = NodeMonitor::new(model, Arc::new(Mvts), vec![], view, MonitorConfig::default());
     }
 
     #[test]
     #[should_panic(expected = "sample width mismatch")]
     fn width_mismatch_panics() {
         let (model, view) = deployable();
+        let metrics = catalog(System::Volta.campaign(Scale::Smoke, 61).catalog().len());
+        let short = vec![1.0; metrics.len() - 1];
         let mut monitor =
-            NodeMonitor::new(model, Arc::new(Mvts), catalog(4), view, MonitorConfig::default());
-        monitor.push(&[1.0, 2.0, 3.0]);
+            NodeMonitor::new(model, Arc::new(Mvts), metrics, view, MonitorConfig::default());
+        monitor.push(&short);
     }
 
     #[test]

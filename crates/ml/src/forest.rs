@@ -4,10 +4,13 @@
 //! and trained in parallel with `alba_par::map` (inline when the fit itself
 //! runs on an `alba-par` worker, such as a grid lane); `predict_proba`
 //! averages the leaf distributions of all trees (scikit-learn semantics).
-//! A fit sorts every column of the training matrix once, into a table
-//! all tree lanes read (see `tree`), and hands each tree its bootstrap
-//! as per-row multiplicities drawn from the tree's seed, never as a
-//! copied matrix. The table is dropped when `fit` returns.
+//! A fit reads a [`Presorted`] table of the training matrix (every column
+//! sorted once, see `tree`) that all tree lanes share, and hands each
+//! tree its bootstrap as per-row multiplicities drawn from the tree's
+//! seed, never as a copied matrix. [`RandomForest::fit_presorted`] takes
+//! the table from the caller: the serve `Retrainer` keeps one across
+//! refits and merges each round's appended rows into it.
+//! `Classifier::fit` builds a table, fits from it and drops it.
 //! Inference runs in the calling thread: each tree adds its leaf
 //! distributions into one accumulator, in tree order, so no per-tree
 //! matrix is allocated and no thread is spawned — the serve path
@@ -68,17 +71,15 @@ impl RandomForest {
     pub fn n_trees(&self) -> usize {
         self.trees.len()
     }
-}
 
-impl Classifier for RandomForest {
-    fn fit(&mut self, x: &Matrix, y: &[usize], n_classes: usize) {
-        assert!(x.rows() > 0, "cannot fit on an empty dataset");
+    /// Fits on the presorted training matrix `table` with labels `y`:
+    /// the same forest `Classifier::fit` grows on that matrix.
+    pub fn fit_presorted(&mut self, table: &Presorted, y: &[usize], n_classes: usize) {
         assert!(self.params.n_estimators > 0, "need at least one tree");
         self.n_classes = n_classes;
         let mut seeder = StdRng::seed_from_u64(self.params.seed);
         let tree_seeds: Vec<u64> = (0..self.params.n_estimators).map(|_| seeder.gen()).collect();
-
-        let table = Presorted::new(x);
+        let n = table.n_rows();
         self.trees = alba_par::map(alba_par::available_cores(), tree_seeds, |seed| {
             let params = TreeParams {
                 max_depth: self.params.max_depth,
@@ -90,18 +91,24 @@ impl Classifier for RandomForest {
             };
             let weight = if self.params.bootstrap {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xB007);
-                let mut weight = vec![0.0; x.rows()];
-                for r in bootstrap_indices(x.rows(), x.rows(), &mut rng) {
+                let mut weight = vec![0.0; n];
+                for r in bootstrap_indices(n, n, &mut rng) {
                     weight[r] += 1.0;
                 }
                 weight
             } else {
-                vec![1.0; x.rows()]
+                vec![1.0; n]
             };
             let mut tree = DecisionTree::new(params);
-            tree.fit_presorted(&table, y, n_classes, &weight);
+            tree.fit_presorted(table, y, n_classes, &weight);
             tree
         });
+    }
+}
+
+impl Classifier for RandomForest {
+    fn fit(&mut self, x: &Matrix, y: &[usize], n_classes: usize) {
+        self.fit_presorted(&Presorted::new(x), y, n_classes);
     }
 
     fn predict_proba(&self, x: &Matrix) -> Matrix {

@@ -38,4 +38,4 @@ pub use nn::{Activation, Dense, FeedForward, Optimizer};
 pub use persist::{Diagnosis, DiagnosisModel, FittedModel};
 pub use spec::{table4_grid, ModelFamily, ModelSpec};
 pub use timed::Timed;
-pub use tree::{Criterion, DecisionTree, MaxFeatures, TreeParams};
+pub use tree::{Criterion, DecisionTree, MaxFeatures, Presorted, TreeParams};
