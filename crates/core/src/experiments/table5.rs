@@ -13,7 +13,7 @@ use crate::report::{fmt_opt, fmt_score, render_table};
 use crate::scale::RunScale;
 use crate::split::prepare_splits;
 use alba_active::MethodCurves;
-use alba_features::{drop_degenerate_features, select_top_k, MinMaxScaler};
+use alba_features::{select_clean_top_k, MinMaxScaler};
 use alba_ml::{cross_val_f1, Scores};
 use serde::{Deserialize, Serialize};
 
@@ -119,9 +119,10 @@ pub fn pool_ceiling(data: &SystemData, scale: &RunScale, volta: bool) -> (f64, u
 /// (features selected and scaled once on the full dataset — a ceiling
 /// measurement, not a deployment protocol).
 pub fn cv_ceiling(data: &SystemData, scale: &RunScale, volta: bool) -> (f64, usize) {
-    let (clean, _) = drop_degenerate_features(&data.dataset);
-    let top = select_top_k(&clean, scale.split.top_k_features);
-    let mut selected = clean.select_features(&top);
+    let ds = &data.dataset;
+    let rows: Vec<usize> = (0..ds.len()).collect();
+    let top = select_clean_top_k(&ds.x, &ds.y, &rows, ds.n_classes(), scale.split.top_k_features);
+    let mut selected = ds.select_features(&top);
     let scaler = MinMaxScaler::fit(&selected.x);
     scaler.transform_inplace(&mut selected.x);
     let spec = scale.model(volta);

@@ -10,7 +10,7 @@
 //!    remaining training samples form the unlabeled pool.
 
 use alba_data::{one_per_app_class_pair, stratified_split, Dataset};
-use alba_features::{select_top_k, MinMaxScaler};
+use alba_features::{select_clean_top_k, MinMaxScaler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -70,9 +70,7 @@ pub fn prepare_split(full: &Dataset, cfg: &SplitConfig, seed: u64) -> PreparedSp
     let _span = alba_obs::global().span("exp_stage_ns", &[("stage", "prepare_split")]);
     let mut rng = StdRng::seed_from_u64(seed);
     let (train_idx, test_idx) = stratified_split(&full.y, cfg.train_fraction, &mut rng);
-    let train_raw = full.select(&train_idx);
-    let test_raw = full.select(&test_idx);
-    prepare_pre_split(&train_raw, &test_raw, cfg)
+    prepare_rows((full, &train_idx), (full, &test_idx), cfg)
 }
 
 /// The `scale.n_splits` stratified splits that the no-AL measurements
@@ -94,22 +92,28 @@ pub fn prepare_pre_split(
     test_raw: &Dataset,
     cfg: &SplitConfig,
 ) -> PreparedSplit {
-    // Degenerate-column removal fitted on train.
-    let (train_clean, kept) = alba_features::drop_degenerate_features(train_raw);
-    let test_clean = test_raw.select_features(&kept);
+    let every_row = |ds: &Dataset| (0..ds.len()).collect::<Vec<usize>>();
+    prepare_rows((train_raw, &every_row(train_raw)), (test_raw, &every_row(test_raw)), cfg)
+}
 
-    // Chi-square top-k on train.
-    let top = select_top_k(&train_clean, cfg.top_k_features);
-    let mut train_sel = train_clean.select_features(&top);
-    let mut test_sel = test_clean.select_features(&top);
-    let selected: Vec<usize> = top.iter().map(|&t| kept[t]).collect();
-
-    // Min-Max scaling fitted on train.
-    let scaler = MinMaxScaler::fit(&train_sel.x);
-    scaler.transform_inplace(&mut train_sel.x);
-    scaler.transform_inplace(&mut test_sel.x);
-
-    PreparedSplit { train: train_sel, test: test_sel, selected_features: selected, scaler }
+/// Steps 2–4 on the rows `train.1` of `train.0` and `test.1` of `test.0`.
+/// Degenerate-column removal and chi-square top-k are fitted on the
+/// training rows in place ([`select_clean_top_k`]); only the selected
+/// columns of each side are copied, then Min-Max scaled with a scaler
+/// fitted on the training side.
+fn prepare_rows(
+    train: (&Dataset, &[usize]),
+    test: (&Dataset, &[usize]),
+    cfg: &SplitConfig,
+) -> PreparedSplit {
+    let (src, rows) = train;
+    let selected = select_clean_top_k(&src.x, &src.y, rows, src.n_classes(), cfg.top_k_features);
+    let mut train = src.gather(rows, &selected);
+    let mut test = test.0.gather(test.1, &selected);
+    let scaler = MinMaxScaler::fit(&train.x);
+    scaler.transform_inplace(&mut train.x);
+    scaler.transform_inplace(&mut test.x);
+    PreparedSplit { train, test, selected_features: selected, scaler }
 }
 
 /// The seed/pool decomposition (Fig. 2): one labeled sample per

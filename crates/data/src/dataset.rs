@@ -121,6 +121,19 @@ impl Dataset {
         }
     }
 
+    /// Returns the samples listed in `rows` (order preserved) with only
+    /// the feature columns `cols`: [`Dataset::select`] then
+    /// [`Dataset::select_features`], without the full-width copy.
+    pub fn gather(&self, rows: &[usize], cols: &[usize]) -> Dataset {
+        Dataset {
+            x: self.x.gather(rows, cols),
+            y: rows.iter().map(|&i| self.y[i]).collect(),
+            encoder: self.encoder.clone(),
+            meta: rows.iter().map(|&i| self.meta[i].clone()).collect(),
+            feature_names: cols.iter().map(|&c| self.feature_names[c].clone()).collect(),
+        }
+    }
+
     /// Concatenates two datasets with identical schema.
     ///
     /// # Panics

@@ -159,6 +159,17 @@ impl Matrix {
         out
     }
 
+    /// Returns the cells at rows `rows` and columns `cols` (both in the
+    /// given order): `select_rows` then `select_cols` in one copy.
+    pub fn gather(&self, rows: &[usize], cols: &[usize]) -> Matrix {
+        let mut data = Vec::with_capacity(rows.len() * cols.len());
+        for &r in rows {
+            let src = self.row(r);
+            data.extend(cols.iter().map(|&c| src[c]));
+        }
+        Matrix { rows: rows.len(), cols: cols.len(), data }
+    }
+
     /// Stacks `self` on top of `other`.
     ///
     /// # Panics

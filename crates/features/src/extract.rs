@@ -118,22 +118,8 @@ pub fn extract_features(
 ///
 /// Returns the surviving dataset and the retained column indices.
 pub fn drop_degenerate_features(ds: &Dataset) -> (Dataset, Vec<usize>) {
-    let (rows, cols) = ds.x.shape();
-    let keep: Vec<usize> = (0..cols)
-        .filter(|&c| {
-            let mut minv = f64::INFINITY;
-            let mut maxv = f64::NEG_INFINITY;
-            for r in 0..rows {
-                let v = ds.x.get(r, c);
-                if !v.is_finite() {
-                    return false;
-                }
-                minv = minv.min(v);
-                maxv = maxv.max(v);
-            }
-            maxv - minv > 1e-12
-        })
-        .collect();
+    let rows: Vec<usize> = (0..ds.len()).collect();
+    let keep = crate::select::column_ranges(&ds.x, &rows).non_degenerate();
     (ds.select_features(&keep), keep)
 }
 

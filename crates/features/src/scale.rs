@@ -32,6 +32,17 @@ impl MinMaxScaler {
         self.mins.len()
     }
 
+    /// Per-feature training minimum (the transform's offset).
+    pub fn mins(&self) -> &[f64] {
+        &self.mins
+    }
+
+    /// Per-feature training range (the transform's divisor; 1 where the
+    /// range is below `1e-12`).
+    pub fn ranges(&self) -> &[f64] {
+        &self.ranges
+    }
+
     /// Transforms a matrix in place.
     ///
     /// # Panics

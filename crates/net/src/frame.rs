@@ -29,7 +29,7 @@ use crate::error::FrameError;
 use alba_data::MetricKind;
 use alba_serve::TelemetrySample;
 use alba_store::codec::{get_uvarint, put_uvarint, read_u32_le};
-use alba_store::{crc32, decode_column, encode_column};
+use alba_store::{decode_column, encode_column, Crc32};
 
 /// Frame magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = [0xA1, 0xBA];
@@ -179,12 +179,11 @@ impl Frame {
 
 /// CRC-32 over version ‖ type ‖ length(LE) ‖ payload.
 fn frame_crc(version: u8, ty: u8, len: u32, payload: &[u8]) -> u32 {
-    let mut covered = Vec::with_capacity(6 + payload.len());
-    covered.push(version);
-    covered.push(ty);
-    covered.extend_from_slice(&len.to_le_bytes());
-    covered.extend_from_slice(payload);
-    crc32(&covered)
+    let mut crc = Crc32::new();
+    crc.update(&[version, ty]);
+    crc.update(&len.to_le_bytes());
+    crc.update(payload);
+    crc.finish()
 }
 
 /// Appends a length-prefixed UTF-8 string.

@@ -286,6 +286,9 @@ impl FleetService {
         let init_span = obs.span("service_init_ns", &[("stage", "train_initial")]);
         let sd = Self::system_data(&cfg, store.as_ref(), &obs);
         let split = prepare_split(&sd.dataset, &cfg.split, cfg.fleet.seed);
+        // The full-width dataset is not read again: free it before the
+        // replay and the shards are built.
+        drop(sd);
         let mut retrainer = Retrainer::new(&split.train, cfg.forest);
         let view = split.feature_view();
 

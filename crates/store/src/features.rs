@@ -28,8 +28,14 @@ use alba_data::{Dataset, LabelEncoder, Matrix, SampleMeta};
 use alba_features::{extract_features, FeatureExtractor, PreprocessConfig};
 use alba_telemetry::NodeTelemetry;
 use serde::{Deserialize, Serialize};
+use std::io::Read;
 
 const FMAT_MAGIC: &[u8; 8] = b"ALBAFMT1";
+
+/// Matrix payload bytes read, checked and decoded per step of
+/// [`FeatureCache::read`] (a multiple of 8, so no value straddles two
+/// chunks).
+const READ_CHUNK: usize = 1 << 20;
 
 /// Everything the cached matrix is a function of. Two equal keys must
 /// imply bit-identical extractor output.
@@ -98,33 +104,55 @@ impl TelemetryStore {
 impl FeatureCache {
     /// Reads the cached dataset for `key`. `Ok(None)` means absent;
     /// corrupt files surface as errors (heal by rewriting).
+    ///
+    /// The header is read and verified first. The claimed matrix shape
+    /// is checked against the file length before the matrix is
+    /// allocated, then the payload streams through in [`READ_CHUNK`]
+    /// pieces, each fed to the CRC and decoded in place, so the whole
+    /// file is never held as bytes.
     pub fn read(&self, key: &FeatureKey) -> Result<Option<Dataset>> {
         let path = self.store.feature_path(&key.store_key());
         if !path.exists() {
             return Ok(None);
         }
         let _span = self.store.obs().span("store_read_ns", &[("kind", "features")]);
-        let bytes = std::fs::read(&path)?;
-        // alba-lint: allow(reachable-panic) reason="len >= 16 is checked first in this condition"
-        if bytes.len() < 16 || &bytes[..8] != FMAT_MAGIC {
+        let mut file = std::fs::File::open(&path)?;
+        let file_len = file.metadata()?.len();
+        let torn = |offset: usize| StoreError::TruncatedTail {
+            path: path.display().to_string(),
+            offset: offset as u64,
+        };
+        // Fills `buf` from the file; a file that shrinks under the read
+        // is a torn tail at `offset`, like one found short up front.
+        let mut fill = |buf: &mut [u8], offset: usize| match file.read_exact(buf) {
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Err(torn(offset)),
+            other => other.map_err(StoreError::from),
+        };
+
+        let mut head = [0u8; 12];
+        if file_len >= 16 {
+            fill(&mut head, 0)?;
+        }
+        if file_len < 16 || !head.starts_with(FMAT_MAGIC) {
             return Err(StoreError::corrupt(&path, "missing ALBAFMT1 magic"));
         }
-        let header_len = read_u32_le(&bytes, 8)
+        let header_len = read_u32_le(&head, 8)
             .ok_or_else(|| StoreError::corrupt(&path, "truncated header length"))?
             as usize;
         let header_end = 12usize
             .checked_add(header_len)
-            .filter(|&e| e + 4 <= bytes.len())
-            .ok_or(StoreError::TruncatedTail { path: path.display().to_string(), offset: 12 })?;
-        // alba-lint: allow(reachable-panic) reason="header_end was bounds-checked above"
-        let header_bytes = &bytes[12..header_end];
-        let stored = read_u32_le(&bytes, header_end)
+            .filter(|&e| e as u64 + 4 <= file_len)
+            .ok_or_else(|| torn(12))?;
+        let mut header_bytes = vec![0u8; header_len + 4];
+        fill(&mut header_bytes, 12)?;
+        let stored = read_u32_le(&header_bytes, header_len)
             .ok_or_else(|| StoreError::corrupt(&path, "truncated header CRC"))?;
-        if crate::crc::crc32(header_bytes) != stored {
+        header_bytes.truncate(header_len);
+        if crate::crc::crc32(&header_bytes) != stored {
             return Err(StoreError::corrupt(&path, "header CRC mismatch"));
         }
         let header: FmatHeader = serde_json::from_str(
-            std::str::from_utf8(header_bytes)
+            std::str::from_utf8(&header_bytes)
                 .map_err(|_| StoreError::corrupt(&path, "header is not UTF-8"))?,
         )
         .map_err(|e| StoreError::corrupt(&path, format!("header parse: {e:?}")))?;
@@ -137,25 +165,34 @@ impl FeatureCache {
             .and_then(|c| c.checked_mul(8))
             .ok_or_else(|| StoreError::corrupt(&path, "matrix shape overflows"))?;
         let matrix_start = header_end + 4;
-        let matrix_end = matrix_start + n_bytes;
-        if matrix_end + 4 > bytes.len() {
-            return Err(StoreError::TruncatedTail {
-                path: path.display().to_string(),
-                offset: matrix_start as u64,
-            });
+        let matrix_end = matrix_start
+            .checked_add(n_bytes)
+            .filter(|&end| end as u64 + 4 <= file_len)
+            .ok_or_else(|| torn(matrix_start))?;
+
+        let mut data: Vec<f64> = Vec::with_capacity(rows * cols);
+        let mut chunk = vec![0u8; READ_CHUNK.min(n_bytes)];
+        let mut crc = crate::crc::Crc32::new();
+        let mut offset = matrix_start;
+        while offset < matrix_end {
+            let n = READ_CHUNK.min(matrix_end - offset);
+            // alba-lint: allow(reachable-panic) reason="n <= READ_CHUNK.min(n_bytes), the buffer's length"
+            let bytes = &mut chunk[..n];
+            fill(bytes, offset)?;
+            crc.update(bytes);
+            data.extend(
+                bytes
+                    .chunks_exact(8)
+                    // alba-lint: allow(reachable-panic) reason="chunks_exact(8) yields exactly 8 bytes"
+                    .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])),
+            );
+            offset += n;
         }
-        // alba-lint: allow(reachable-panic) reason="matrix range was bounds-checked above"
-        let payload = &bytes[matrix_start..matrix_end];
-        let stored = read_u32_le(&bytes, matrix_end)
-            .ok_or_else(|| StoreError::corrupt(&path, "truncated matrix CRC"))?;
-        if crate::crc::crc32(payload) != stored {
+        let mut stored = [0u8; 4];
+        fill(&mut stored, offset)?;
+        if crc.finish() != u32::from_le_bytes(stored) {
             return Err(StoreError::corrupt(&path, "matrix CRC mismatch"));
         }
-        let data: Vec<f64> = payload
-            .chunks_exact(8)
-            // alba-lint: allow(reachable-panic) reason="chunks_exact(8) yields exactly 8 bytes"
-            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect();
         let ds = Dataset::new(
             Matrix::from_vec(rows, cols, data),
             header.y,
@@ -255,6 +292,7 @@ impl FeatureCache {
 mod tests {
     use super::*;
     use crate::testutil::tmpdir;
+    use alba_data::SampleMeta;
     use alba_features::Mvts;
     use alba_obs::Obs;
     use alba_telemetry::{class_names, CampaignConfig, Scale};
@@ -340,6 +378,103 @@ mod tests {
         match cache.read(&k) {
             Err(StoreError::TruncatedTail { .. }) => {}
             other => panic!("expected TruncatedTail, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A dataset whose matrix payload spans two read chunks and a bit.
+    fn wide_dataset() -> Dataset {
+        let (rows, cols) = (2 * READ_CHUNK / (8 * 1000) + 3, 1000);
+        let data = (0..rows * cols).map(|i| (i as f64).sqrt() - 100.0).collect();
+        let meta = SampleMeta {
+            app: "BT".into(),
+            input_deck: 0,
+            run_id: 0,
+            node: 0,
+            node_count: 1,
+            intensity_pct: 0,
+        };
+        Dataset::new(
+            Matrix::from_vec(rows, cols, data),
+            vec![0; rows],
+            LabelEncoder::from_names(&class_names()),
+            vec![meta; rows],
+            (0..cols).map(|c| format!("f{c}")).collect(),
+        )
+    }
+
+    /// Offset of the matrix payload in a `.fmat` file's bytes.
+    fn matrix_start(bytes: &[u8]) -> usize {
+        16 + read_u32_le(bytes, 8).unwrap() as usize
+    }
+
+    #[test]
+    fn a_flip_on_either_side_of_a_chunk_boundary_fails_the_matrix_crc() {
+        let dir = tmpdir("fmat-chunks");
+        let store = TelemetryStore::with_obs(&dir, Obs::disabled()).unwrap();
+        let cache = store.features();
+        let k = key(&store);
+        let ds = wide_dataset();
+        cache.write(&k, &ds).unwrap();
+        let back = cache.read(&k).unwrap().unwrap();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back.x), bits(&ds.x), "a multi-chunk matrix round-trips");
+
+        let path = store.feature_path(&k.store_key());
+        let clean = std::fs::read(&path).unwrap();
+        let start = matrix_start(&clean);
+        for at in [start + READ_CHUNK - 1, start + READ_CHUNK, start + 2 * READ_CHUNK] {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x10;
+            std::fs::write(&path, &bytes).unwrap();
+            match cache.read(&k) {
+                Err(StoreError::Corrupt { detail, .. }) => {
+                    assert_eq!(detail, "matrix CRC mismatch", "flip at {at}")
+                }
+                other => panic!("flip at {at}: expected a CRC error, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes a well-formed header claiming `rows` x `cols` over a
+    /// 64-byte payload.
+    fn write_claimed_shape(path: &std::path::Path, k: &FeatureKey, rows: u64, cols: u64) {
+        let header = serde_json::to_string(&FmatHeader {
+            key: k.clone(),
+            rows,
+            cols,
+            y: vec![],
+            feature_names: vec![],
+            meta: vec![],
+        })
+        .unwrap();
+        let mut bytes = FMAT_MAGIC.to_vec();
+        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(header.as_bytes());
+        bytes.extend_from_slice(&crate::crc::crc32(header.as_bytes()).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 64]);
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn a_claimed_shape_beyond_the_file_is_an_error_before_allocating() {
+        let dir = tmpdir("fmat-shape");
+        let store = TelemetryStore::with_obs(&dir, Obs::disabled()).unwrap();
+        let cache = store.features();
+        let k = key(&store);
+        let path = store.feature_path(&k.store_key());
+        // 2^60 cells (8 EiB): allocating them first would abort the test.
+        write_claimed_shape(&path, &k, 1 << 40, 1 << 20);
+        let start = matrix_start(&std::fs::read(&path).unwrap()) as u64;
+        match cache.read(&k) {
+            Err(StoreError::TruncatedTail { offset, .. }) => assert_eq!(offset, start),
+            other => panic!("expected TruncatedTail, got {other:?}"),
+        }
+        write_claimed_shape(&path, &k, u64::MAX, 3);
+        match cache.read(&k) {
+            Err(StoreError::Corrupt { detail, .. }) => assert_eq!(detail, "matrix shape overflows"),
+            other => panic!("expected a shape overflow, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }

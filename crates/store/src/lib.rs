@@ -44,7 +44,7 @@ pub(crate) mod testutil;
 pub mod window;
 
 pub use codec::{decode_column, encode_column};
-pub use crc::crc32;
+pub use crc::{crc32, Crc32};
 pub use error::{Result, StoreError};
 pub use fault::FaultHook;
 pub use features::{FeatureCache, FeatureKey};
