@@ -10,7 +10,7 @@
 use crate::data::{System, SystemData};
 use crate::report::{fmt_score, render_table};
 use crate::scale::RunScale;
-use crate::split::prepare_pre_split;
+use crate::split::prepare_split_rows;
 use alba_ml::{mean_and_ci95, Scores};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -112,9 +112,8 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessResult {
 
             let train_idx = data.dataset.indices_where(|m, _| train_apps.contains(&m.app));
             let test_idx = data.dataset.indices_where(|m, _| test_apps.contains(&m.app));
-            let train_raw = data.dataset.select(&train_idx);
-            let test_raw = data.dataset.select(&test_idx);
-            let prepared = prepare_pre_split(&train_raw, &test_raw, &cfg.scale.split);
+            let prepared =
+                prepare_split_rows(&data.dataset, &train_idx, &test_idx, &cfg.scale.split);
 
             let mut model = spec.with_seed(combo_seed ^ 0x9).build();
             model.fit(&prepared.train.x, &prepared.train.y, prepared.train.n_classes());

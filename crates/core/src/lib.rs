@@ -49,7 +49,7 @@ pub use plot::{figure_panels, render_curves_svg};
 pub use proctor::{run_proctor_session, Proctor, ProctorConfig};
 pub use scale::RunScale;
 pub use split::{
-    prepare_pre_split, prepare_split, seed_and_pool, seed_and_pool_filtered, PreparedSplit,
+    prepare_split, prepare_split_rows, seed_and_pool, seed_and_pool_filtered, PreparedSplit,
     SeedPool, SplitConfig,
 };
 

@@ -70,7 +70,7 @@ pub fn prepare_split(full: &Dataset, cfg: &SplitConfig, seed: u64) -> PreparedSp
     let _span = alba_obs::global().span("exp_stage_ns", &[("stage", "prepare_split")]);
     let mut rng = StdRng::seed_from_u64(seed);
     let (train_idx, test_idx) = stratified_split(&full.y, cfg.train_fraction, &mut rng);
-    prepare_rows((full, &train_idx), (full, &test_idx), cfg)
+    prepare_split_rows(full, &train_idx, &test_idx, cfg)
 }
 
 /// The `scale.n_splits` stratified splits that the no-AL measurements
@@ -85,31 +85,22 @@ pub(crate) fn prepare_splits(
     })
 }
 
-/// Steps 2–4 for an externally constructed train/test pair (used by the
-/// robustness experiments, which split by application or input deck).
-pub fn prepare_pre_split(
-    train_raw: &Dataset,
-    test_raw: &Dataset,
+/// Steps 2–4 on the rows `train_rows` and `test_rows` of `full`, for
+/// externally chosen splits (the robustness experiments split by
+/// application or input deck). Degenerate-column removal and
+/// chi-square top-k are fitted on the training rows in place
+/// ([`select_clean_top_k`]); only the selected columns of each side are
+/// copied, then Min-Max scaled with a scaler fitted on the training side.
+pub fn prepare_split_rows(
+    full: &Dataset,
+    train_rows: &[usize],
+    test_rows: &[usize],
     cfg: &SplitConfig,
 ) -> PreparedSplit {
-    let every_row = |ds: &Dataset| (0..ds.len()).collect::<Vec<usize>>();
-    prepare_rows((train_raw, &every_row(train_raw)), (test_raw, &every_row(test_raw)), cfg)
-}
-
-/// Steps 2–4 on the rows `train.1` of `train.0` and `test.1` of `test.0`.
-/// Degenerate-column removal and chi-square top-k are fitted on the
-/// training rows in place ([`select_clean_top_k`]); only the selected
-/// columns of each side are copied, then Min-Max scaled with a scaler
-/// fitted on the training side.
-fn prepare_rows(
-    train: (&Dataset, &[usize]),
-    test: (&Dataset, &[usize]),
-    cfg: &SplitConfig,
-) -> PreparedSplit {
-    let (src, rows) = train;
-    let selected = select_clean_top_k(&src.x, &src.y, rows, src.n_classes(), cfg.top_k_features);
-    let mut train = src.gather(rows, &selected);
-    let mut test = test.0.gather(test.1, &selected);
+    let selected =
+        select_clean_top_k(&full.x, &full.y, train_rows, full.n_classes(), cfg.top_k_features);
+    let mut train = full.gather(train_rows, &selected);
+    let mut test = full.gather(test_rows, &selected);
     let scaler = MinMaxScaler::fit(&train.x);
     scaler.transform_inplace(&mut train.x);
     scaler.transform_inplace(&mut test.x);

@@ -5,13 +5,13 @@
 //! rows, walk the train matrix one column at a time to drop degenerate
 //! columns and to score chi-square, copy the kept and then the top-k
 //! columns, and fit the scaler on the copy. `prepare_split`,
-//! `prepare_pre_split`, `drop_degenerate_features` and
+//! `prepare_split_rows`, `drop_degenerate_features` and
 //! `chi_square_scores` must agree with it on every shape below,
 //! compared by `to_bits`.
 
 use alba_data::{stratified_split, Dataset, LabelEncoder, Matrix, SampleMeta};
 use alba_features::{chi_square_scores, drop_degenerate_features, ChiSquareScores, MinMaxScaler};
-use albadross::{prepare_pre_split, prepare_split, PreparedSplit, SplitConfig};
+use albadross::{prepare_split, prepare_split_rows, PreparedSplit, SplitConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,7 +81,8 @@ fn chi_square_reference(x: &Matrix, y: &[usize], n_classes: usize) -> ChiSquareS
     ChiSquareScores { scores }
 }
 
-/// The former `prepare_pre_split`: gather → drop → score → select → scale.
+/// The former pipeline on a materialised train/test pair: gather → drop →
+/// score → select → scale.
 fn pre_split_reference(
     train_raw: &Dataset,
     test_raw: &Dataset,
@@ -221,7 +222,7 @@ fn check(full: &Dataset, top_k: usize, seed: u64) {
     let test_idx = full.indices_where(|m, _| m.app == "app2");
     let (train_raw, test_raw) = (full.select(&train_idx), full.select(&test_idx));
     assert_same_split(
-        &prepare_pre_split(&train_raw, &test_raw, &cfg),
+        &prepare_split_rows(full, &train_idx, &test_idx, &cfg),
         &pre_split_reference(&train_raw, &test_raw, &cfg),
     );
 }

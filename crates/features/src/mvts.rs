@@ -10,13 +10,15 @@
 //! the wanted offsets and builds each intermediate they share once:
 //!
 //! * **Sorted halves.** The series is split at `len / 2`, as the
-//!   half-vs-half features split it. Each half is sorted once, through
-//!   its `u64` total-order keys ([`alba_data::total_order_key`]); the
-//!   half quantiles (`halves_abs_diff_{median,q25,q75}`) read them.
-//! * **Full sorted order.** An O(n) merge of the two sorted halves, read
-//!   by median, q25, q75, iqr, q10 and q90. Two values `total_cmp` calls
-//!   equal have the same bits, so both sorted copies are bit-identical
-//!   to `sort_by(f64::total_cmp)`.
+//!   half-vs-half features split it. Each half's `u64` total-order keys
+//!   ([`alba_data::total_order_key`]) are sorted once; the half
+//!   quantiles (`halves_abs_diff_{median,q25,q75}`) read their run.
+//! * **Whole-series quantiles** (median, q25, q75, iqr, q10, q90) read
+//!   the order statistics they interpolate as the `k`-th smallest key
+//!   of the two runs' union, found by binary search, with no merged
+//!   copy. Two values `total_cmp` calls equal have the same bits, so
+//!   every order statistic is bit-identical to indexing the output of
+//!   `sort_by(f64::total_cmp)`.
 //! * **Moments.** `mean(x)` and `variance(x)` once per series, shared by
 //!   mean, std, var, skewness, kurtosis, cid_ce, variation_coefficient,
 //!   the mean crossings, fraction and strikes, the trend slope and
@@ -26,8 +28,7 @@
 //!   twins in [`crate::stats`].
 //! * **Trend slope**, shared by the slope and the intercept.
 //!
-//! The sort keys and the sorted copies live in the caller's
-//! [`SelectScratch`].
+//! The sort keys live in the caller's [`SelectScratch`].
 
 use alba_data::{canonical_nan, from_total_order_key, total_order_key};
 
@@ -210,28 +211,22 @@ impl FeatureExtractor for Mvts {
         let mid = x.len() / 2;
         let (a, b) = x.split_at(mid);
 
-        // Sorted halves (median, q25, q75 of each half) and the full
-        // sorted order (median, q25, q75, iqr, q10, q90), merged from
-        // the halves.
-        let halves = needs(|k| matches!(k, 30..=32));
-        let full = needs(|k| matches!(k, 5..=8 | 46 | 47));
-        let (keys, values) = (&mut scratch.keys, &mut scratch.values);
-        values.clear();
-        if halves || full {
-            keys.clear();
+        // Sorted halves: the median, q25 and q75 of each half read their
+        // key run; those of the whole series (and iqr, q10, q90) read
+        // order statistics of the two runs' union.
+        let keys = &mut scratch.keys;
+        keys.clear();
+        if needs(|k| matches!(k, 5..=8 | 30..=32 | 46 | 47)) {
             keys.extend(x.iter().map(|&v| total_order_key(v)));
             keys[..mid].sort_unstable();
             keys[mid..].sort_unstable();
-            if halves {
-                values.extend(keys.iter().map(|&k| from_total_order_key(k)));
-            }
-            if full {
-                merge_keys(&keys[..mid], &keys[mid..], values);
-            }
         }
-        let n_halves = if halves { x.len() } else { 0 };
-        let (sorted_halves, sorted) = values.split_at(n_halves);
-        let (sorted_a, sorted_b) = sorted_halves.split_at(mid.min(n_halves));
+        let (keys_a, keys_b) = keys.split_at(keys.len().min(mid));
+        let half_q =
+            |run: &[u64], q: f64| quantile_by(run.len(), q, |i| from_total_order_key(run[i]));
+        let full_q = |q: f64| {
+            quantile_by(keys.len(), q, |i| from_total_order_key(kth_of_two(keys_a, keys_b, i)))
+        };
 
         // Moments of the series and of its halves.
         let m = if needs(|k| matches!(k, 0..=2 | 10 | 11 | 15..=17 | 19..=23 | 42..=44)) {
@@ -266,10 +261,10 @@ impl FeatureExtractor for Mvts {
                 2 => m.var,
                 3 => min(x),
                 4 => max(x),
-                5 => quantile_sorted(sorted, 0.5),
-                6 => quantile_sorted(sorted, 0.25),
-                7 => quantile_sorted(sorted, 0.75),
-                8 => quantile_sorted(sorted, 0.75) - quantile_sorted(sorted, 0.25),
+                5 => full_q(0.5),
+                6 => full_q(0.25),
+                7 => full_q(0.75),
+                8 => full_q(0.75) - full_q(0.25),
                 9 => rms(x),
                 10 => skewness_with(x, m.mean, m.std()),
                 11 => kurtosis_with(x, m.mean, m.std()),
@@ -291,9 +286,9 @@ impl FeatureExtractor for Mvts {
                 27 => (ma.std() - mb.std()).abs(),
                 28 => (min(a) - min(b)).abs(),
                 29 => (max(a) - max(b)).abs(),
-                30 => (quantile_sorted(sorted_a, 0.5) - quantile_sorted(sorted_b, 0.5)).abs(),
-                31 => (quantile_sorted(sorted_a, 0.25) - quantile_sorted(sorted_b, 0.25)).abs(),
-                32 => (quantile_sorted(sorted_a, 0.75) - quantile_sorted(sorted_b, 0.75)).abs(),
+                30 => (half_q(keys_a, 0.5) - half_q(keys_b, 0.5)).abs(),
+                31 => (half_q(keys_a, 0.25) - half_q(keys_b, 0.25)).abs(),
+                32 => (half_q(keys_a, 0.75) - half_q(keys_b, 0.75)).abs(),
                 33 => (skewness_with(a, ma.mean, ma.std()) - skewness_with(b, mb.mean, mb.std()))
                     .abs(),
                 34 => (kurtosis_with(a, ma.mean, ma.std()) - kurtosis_with(b, mb.mean, mb.std()))
@@ -313,8 +308,8 @@ impl FeatureExtractor for Mvts {
                 43 => autocorrelation_with(x, 2, m.mean, m.var),
                 44 => autocorrelation_with(x, 5, m.mean, m.var),
                 45 => x.iter().sum(),
-                46 => quantile_sorted(sorted, 0.1),
-                47 => quantile_sorted(sorted, 0.9),
+                46 => full_q(0.1),
+                47 => full_q(0.9),
                 _ => panic!("mvts feature offset {k} out of range (npm = 48)"),
             });
         }
@@ -341,20 +336,25 @@ impl Moments {
     }
 }
 
-/// Appends the values behind two ascending runs of total-order keys to
-/// `out`, merged into one ascending run.
-fn merge_keys(a: &[u64], b: &[u64], out: &mut Vec<f64>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(from_total_order_key(a[i]));
-            i += 1;
+/// The `k`-th smallest (0-based) of the union of two ascending key
+/// runs, the key a merge of `a` and `b` would put at index `k`. Binary
+/// search for how many of the `k + 1` smallest come from `a`: O(log n).
+fn kth_of_two(a: &[u64], b: &[u64], k: usize) -> u64 {
+    let take = k + 1;
+    // `i` keys from `a` and `take - i` from `b`; the smallest `i` whose
+    // next `a` key is not below the last `b` key taken is the split.
+    let (mut lo, mut hi) = (take.saturating_sub(b.len()), take.min(a.len()));
+    while lo < hi {
+        let i = (lo + hi) / 2;
+        if a[i] < b[take - i - 1] {
+            lo = i + 1;
         } else {
-            out.push(from_total_order_key(b[j]));
-            j += 1;
+            hi = i;
         }
     }
-    out.extend(a[i..].iter().chain(&b[j..]).map(|&k| from_total_order_key(k)));
+    let from_a = lo.checked_sub(1).map(|i| a[i]);
+    let from_b = (take - lo).checked_sub(1).map(|j| b[j]);
+    from_a.max(from_b).expect("k indexes the union of the two runs")
 }
 
 #[cfg(test)]
@@ -444,6 +444,34 @@ mod tests {
             let gathered: Vec<u64> = wanted.iter().map(|&k| full[k].to_bits()).collect();
             let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, gathered);
+        }
+    }
+
+    #[test]
+    fn kth_of_two_reads_the_merged_order() {
+        let keys = |v: &[f64]| {
+            let mut k: Vec<u64> = v.iter().map(|&x| total_order_key(x)).collect();
+            k.sort_unstable();
+            k
+        };
+        let nan = f64::NAN;
+        let neg_nan = f64::from_bits(0xFFF8_0000_0000_0001);
+        let runs: [(&[f64], &[f64]); 7] = [
+            (&[1.0, 1.0, 2.0], &[1.0, 2.0, 2.0, 3.0]),
+            (&[-0.0, 0.0], &[0.0, -0.0, 0.0]),
+            (&[nan, 1.0, neg_nan], &[nan, -1.0]),
+            (&[5.0], &[1.0, 2.0, 3.0, 4.0, 6.0, 7.0]),
+            (&[], &[3.0, -2.0, 9.0]),
+            (&[3.0, -2.0, 9.0], &[]),
+            (&[f64::INFINITY, -f64::INFINITY, 0.5], &[0.25, f64::MIN_POSITIVE, 0.5]),
+        ];
+        for (a, b) in runs {
+            let (ka, kb) = (keys(a), keys(b));
+            let mut merged = [ka.clone(), kb.clone()].concat();
+            merged.sort_unstable();
+            for (k, &want) in merged.iter().enumerate() {
+                assert_eq!(kth_of_two(&ka, &kb, k), want, "k = {k} of {a:?} ∪ {b:?}");
+            }
         }
     }
 

@@ -63,18 +63,25 @@ pub fn quantile(x: &[f64], q: f64) -> f64 {
 
 /// Quantile over an already sorted slice.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
+    quantile_by(sorted.len(), q, |i| sorted[i])
+}
+
+/// The `q` quantile of `len` ascending values, where `at(i)` is the
+/// `i`-th smallest: linear interpolation between the two order
+/// statistics around `q · (len − 1)`. Reads at most two of them.
+pub fn quantile_by(len: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
+    if len == 0 {
         return 0.0;
     }
     let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (len - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let w = pos - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
+        at(lo) * (1.0 - w) + at(hi) * w
     }
 }
 

@@ -141,6 +141,10 @@ struct LeafState {
     sum_g: f64,
     sum_h: f64,
     depth: usize,
+    /// The leaf's best split `(gain, feature, threshold)`, `None` when
+    /// it may not or cannot split. A pure function of the leaf, so it is
+    /// found once, when the leaf is made.
+    split: Option<(f64, usize, f64)>,
 }
 
 /// A fitted gradient-boosting classifier.
@@ -235,33 +239,29 @@ impl GradientBoosting {
         hess: &[f64],
         features: &[usize],
     ) -> RegTree {
-        let n = grad.len();
-        let mut nodes = vec![Node::Leaf { value: 0.0 }];
-        let root = LeafState {
-            node_slot: 0,
-            indices: (0..n).collect(),
-            sum_g: grad.iter().sum(),
-            sum_h: hess.iter().sum(),
-            depth: 0,
+        // `grows`: whether the tree may still gain a leaf after this one
+        // is made; when it may not, the leaf's split is never read.
+        let mk = |indices: Vec<usize>, slot: u32, depth: usize, grows: bool| {
+            let sum_g = indices.iter().map(|&i| grad[i]).sum();
+            let sum_h = indices.iter().map(|&i| hess[i]).sum();
+            let mut leaf = LeafState { node_slot: slot, indices, sum_g, sum_h, depth, split: None };
+            let may_split = grows
+                && self.params.max_depth.is_none_or(|max_d| depth < max_d)
+                && leaf.indices.len() >= 2 * self.params.min_data_in_leaf;
+            if may_split {
+                leaf.split = self.best_split(binned, binning, grad, hess, &leaf, features);
+            }
+            leaf
         };
-        let mut leaves = vec![root];
+        let mut nodes = vec![Node::Leaf { value: 0.0 }];
+        let mut leaves = vec![mk((0..grad.len()).collect(), 0, 0, self.params.num_leaves > 1)];
         let mut n_leaves = 1usize;
 
         while n_leaves < self.params.num_leaves {
             // Best split across all current leaves (leaf-wise growth).
             let mut best: Option<(usize, f64, usize, f64)> = None; // (leaf_pos, gain, feature, thr)
             for (pos, leaf) in leaves.iter().enumerate() {
-                if let Some(max_d) = self.params.max_depth {
-                    if leaf.depth >= max_d {
-                        continue;
-                    }
-                }
-                if leaf.indices.len() < 2 * self.params.min_data_in_leaf {
-                    continue;
-                }
-                if let Some((gain, f, thr)) =
-                    self.best_split(binned, binning, grad, hess, leaf, features)
-                {
+                if let Some((gain, f, thr)) = leaf.split {
                     if gain > best.map_or(0.0, |(_, g, _, _)| g) {
                         best = Some((pos, gain, f, thr));
                     }
@@ -272,20 +272,16 @@ impl GradientBoosting {
             let thr_bin = binning.bin(feature, threshold);
             let (li, ri): (Vec<usize>, Vec<usize>) =
                 leaf.indices.into_iter().partition(|&i| (binned[feature][i] as usize) <= thr_bin);
-            let mk = |indices: Vec<usize>, slot: u32, depth: usize| {
-                let sum_g = indices.iter().map(|&i| grad[i]).sum();
-                let sum_h = indices.iter().map(|&i| hess[i]).sum();
-                LeafState { node_slot: slot, indices, sum_g, sum_h, depth }
-            };
             let lslot = nodes.len() as u32;
             nodes.push(Node::Leaf { value: 0.0 });
             let rslot = nodes.len() as u32;
             nodes.push(Node::Leaf { value: 0.0 });
             nodes[leaf.node_slot as usize] =
                 Node::Split { feature, threshold, left: lslot, right: rslot };
-            leaves.push(mk(li, lslot, leaf.depth + 1));
-            leaves.push(mk(ri, rslot, leaf.depth + 1));
             n_leaves += 1;
+            let grows = n_leaves < self.params.num_leaves;
+            leaves.push(mk(li, lslot, leaf.depth + 1, grows));
+            leaves.push(mk(ri, rslot, leaf.depth + 1, grows));
         }
         // Finalise leaf values with shrinkage.
         for leaf in leaves {

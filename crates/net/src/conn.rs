@@ -12,7 +12,8 @@
 //! * telemetry queue — capped at the tenant's configured
 //!   `queue_capacity`; overflow is shed with a BUSY frame, never
 //!   buffered unboundedly (flow control exists so well-behaved clients
-//!   never hit this).
+//!   never hit this). The queued frames' payloads wait beside it for
+//!   the ingest journal and are dropped when the queue drains.
 
 use crate::frame::{Frame, HEADER_LEN, MAX_PAYLOAD};
 use crate::http::MAX_HEAD;
@@ -21,12 +22,20 @@ use crate::transport::ByteStream;
 use alba_serve::TelemetrySample;
 use std::collections::VecDeque;
 use std::io::ErrorKind;
+use std::ops::Range;
 
 /// Write-buffer cap: a peer that lets this much queued output pile up
 /// is not reading and gets disconnected.
 pub const WBUF_CAP: usize = 256 * 1024;
 /// Bytes per read call.
 const READ_CHUNK: usize = 4096;
+
+/// One accepted telemetry frame awaiting delivery: the decoded sample
+/// and where its verified payload sits in [`Conn`]'s `payloads`.
+pub(crate) struct Queued {
+    pub(crate) sample: TelemetrySample,
+    pub(crate) payload: Range<usize>,
+}
 
 /// Where a connection is in its life cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +67,11 @@ pub struct Conn {
     /// Accepted telemetry awaiting the next gateway poll. Bounded by
     /// `tenant.queue_capacity` via an explicit check in the gateway.
     // alba-lint: allow(no-unbounded-channel) reason="bounded by tenant queue_capacity; the gateway sheds with a BUSY frame before pushing past it"
-    pub(crate) queue: VecDeque<TelemetrySample>,
+    pub(crate) queue: VecDeque<Queued>,
+    /// The queued frames' CRC-verified payloads, back to back, for the
+    /// ingest journal. Emptied whenever the poll drains the queue, so
+    /// it holds at most `queue_capacity` payloads.
+    pub(crate) payloads: Vec<u8>,
     /// Admitted tenant config (`Open`/`ByeWait` phases only).
     pub(crate) tenant: Option<TenantConfig>,
     /// Flow-control credits the peer currently holds.
@@ -84,6 +97,7 @@ impl Conn {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             queue: VecDeque::with_capacity(8),
+            payloads: Vec::new(),
             tenant: None,
             credits: 0,
             dropped: 0,

@@ -99,7 +99,7 @@ pub enum Frame {
 
 const T_HELLO: u8 = 1;
 const T_WELCOME: u8 = 2;
-const T_TELEMETRY: u8 = 3;
+pub(crate) const T_TELEMETRY: u8 = 3;
 const T_CREDIT: u8 = 4;
 const T_BUSY: u8 = 5;
 const T_BYE: u8 = 6;
@@ -145,10 +145,7 @@ impl Frame {
                 put_uvarint(&mut p, u64::from(*credits));
             }
             Frame::Telemetry { node, at, values } => {
-                put_uvarint(&mut p, *node);
-                put_uvarint(&mut p, *at);
-                put_uvarint(&mut p, values.len() as u64);
-                p.extend_from_slice(&encode_column(values, MetricKind::Gauge));
+                put_telemetry_payload(&mut p, *node, *at, values)
             }
             Frame::Credit { credits } => put_uvarint(&mut p, u64::from(*credits)),
             Frame::Busy { dropped } => put_uvarint(&mut p, *dropped),
@@ -163,18 +160,32 @@ impl Frame {
 
     /// Encodes the full frame, header included, ready for the wire.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let len = payload.len() as u32;
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(self.type_byte());
-        out.extend_from_slice(&len.to_le_bytes());
-        let crc = frame_crc(VERSION, self.type_byte(), len, &payload);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        encode_raw(self.type_byte(), &self.encode_payload())
     }
+}
+
+/// A frame of type `ty` around an already-encoded `payload`: header,
+/// CRC and payload, ready for the wire.
+pub(crate) fn encode_raw(ty: u8, payload: &[u8]) -> Vec<u8> {
+    let len = payload.len() as u32;
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(ty);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&frame_crc(VERSION, ty, len, payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Appends a telemetry frame's payload, `node ‖ at ‖ n ‖ column`: three
+/// varints and the `alba-store` gauge column. The ingest journal's
+/// records are `uvarint(tick)` followed by exactly these bytes.
+pub fn put_telemetry_payload(out: &mut Vec<u8>, node: u64, at: u64, values: &[f64]) {
+    put_uvarint(out, node);
+    put_uvarint(out, at);
+    put_uvarint(out, values.len() as u64);
+    out.extend_from_slice(&encode_column(values, MetricKind::Gauge));
 }
 
 /// CRC-32 over version ‖ type ‖ length(LE) ‖ payload.
@@ -211,7 +222,8 @@ fn get_string(bytes: &[u8], pos: &mut usize) -> Result<String, FrameError> {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Decoded {
     /// A complete valid frame spanning the first `.1` buffered bytes —
-    /// the caller drains that many and processes the frame.
+    /// the caller drains that many and processes the frame. Its
+    /// CRC-verified payload is the bytes `HEADER_LEN..` of that span.
     Frame(Frame, usize),
     /// The buffer holds a frame prefix; read more bytes and retry.
     Incomplete,
@@ -481,15 +493,7 @@ mod tests {
         put_uvarint(&mut p, 1); // node
         put_uvarint(&mut p, 0); // at
         put_uvarint(&mut p, 1 << 40); // absurd count
-        let len = p.len() as u32;
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(VERSION);
-        bytes.push(T_TELEMETRY);
-        bytes.extend_from_slice(&len.to_le_bytes());
-        bytes.extend_from_slice(&frame_crc(VERSION, T_TELEMETRY, len, &p).to_le_bytes());
-        bytes.extend_from_slice(&p);
-        match decode_frame(&bytes) {
+        match decode_frame(&encode_raw(T_TELEMETRY, &p)) {
             Ok(Decoded::Corrupt(FrameError::Malformed { what }, _)) => {
                 assert!(what.contains("cap"));
             }

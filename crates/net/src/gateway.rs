@@ -20,8 +20,18 @@
 //! is reproducible end to end; under free-running TCP the *capture*
 //! is authoritative — whatever order the samples landed in is exactly
 //! the order the journal replays.
+//!
+//! ## Byte movement
+//!
+//! Each pump decodes every complete frame from a cursor into the
+//! connection's read buffer and drains the consumed prefix once at the
+//! end, so a pump's cost is linear in the bytes it reads. An accepted
+//! telemetry frame's CRC-verified payload is copied once, beside the
+//! queue, and [`Gateway::poll`] journals it behind the delivery tick
+//! (see [`crate::journal`]): the record is the bytes that arrived, not
+//! a re-encoding of the decoded sample.
 
-use crate::conn::{Conn, ConnPhase};
+use crate::conn::{Conn, ConnPhase, Queued};
 use crate::frame::{self, Decoded, Frame};
 use crate::http::{self, ControlPlane, HttpParse};
 use crate::journal::IngestLog;
@@ -31,6 +41,7 @@ use alba_obs::{Obs, Value};
 use alba_serve::{NetFrontier, TelemetrySample, TenantStats};
 use alba_trace::{Lane, Tracer};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Wire error code for protocol-sequence violations.
 const E_PROTOCOL: u16 = 400;
@@ -152,8 +163,8 @@ impl Gateway {
         }
         for conn in conns.iter_mut() {
             if conn.phase == ConnPhase::Closed {
-                if let Some(name) = conn.tenant_name().map(str::to_string) {
-                    self.admission.release(&name);
+                if let Some(name) = conn.tenant_name() {
+                    self.admission.release(name);
                 }
             }
         }
@@ -207,59 +218,67 @@ impl Gateway {
         conn.settle();
     }
 
-    /// Decodes and handles every complete frame buffered on `conn`.
+    /// Decodes and handles every complete frame buffered on `conn`,
+    /// reading from a cursor into the read buffer; the consumed prefix
+    /// is drained once, when the pump's frames are done.
     fn step_wire(&mut self, conn: &mut Conn, now: usize) {
+        let mut pos = 0usize;
         loop {
-            match frame::decode_frame(&conn.rbuf) {
+            let rest = conn.rbuf.get(pos..).unwrap_or_default();
+            match frame::decode_frame(rest) {
                 Ok(Decoded::Frame(f, consumed)) => {
-                    conn.rbuf.drain(..consumed);
+                    let payload = pos + frame::HEADER_LEN..pos + consumed;
+                    pos += consumed;
                     conn.partial_since = None;
                     self.obs.counter("net_frames_total", &[("type", f.name())]).inc();
-                    self.handle_frame(conn, f, now);
+                    self.handle_frame(conn, f, payload);
                     if !matches!(
                         conn.phase,
                         ConnPhase::AwaitHello | ConnPhase::Open | ConnPhase::ByeWait
                     ) {
-                        return;
+                        break;
                     }
                 }
                 Ok(Decoded::Corrupt(e, skip)) => {
-                    conn.rbuf.drain(..skip);
+                    pos += skip;
                     conn.partial_since = None;
                     self.obs.counter("net_frames_corrupt_total", &[("error", e.name())]).inc();
-                    if let Some(name) = conn.tenant_name().map(str::to_string) {
-                        self.tenant_row(&name).frames_corrupt += 1;
+                    if let Some(t) = &conn.tenant {
+                        self.tenant_row(&t.name, |r| r.frames_corrupt += 1);
                     }
                 }
                 Ok(Decoded::Incomplete) => {
-                    if conn.rbuf.is_empty() {
+                    if rest.is_empty() {
                         conn.partial_since = None;
                     } else if conn.partial_since.is_none() {
                         conn.partial_since = Some(now);
                     }
-                    return;
+                    break;
                 }
                 Err(e) => {
                     // Fatal desync: tell the peer why, then hang up.
                     self.obs.counter("net_frames_fatal_total", &[("error", e.name())]).inc();
                     conn.send(&Frame::Error { code: E_PROTOCOL, message: e.to_string() });
                     conn.drain_then_close();
-                    return;
+                    break;
                 }
             }
         }
+        conn.rbuf.drain(..pos);
     }
 
     /// Applies one valid frame to the connection's session state.
-    fn handle_frame(&mut self, conn: &mut Conn, f: Frame, _now: usize) {
+    /// `payload` is where the frame's verified payload sits in
+    /// `conn.rbuf`; an accepted telemetry frame queues a copy of it for
+    /// the ingest journal.
+    fn handle_frame(&mut self, conn: &mut Conn, f: Frame, payload: Range<usize>) {
         match (conn.phase, f) {
             (ConnPhase::AwaitHello, Frame::Hello { tenant, token }) => {
                 match self.admission.admit(&tenant, &token) {
                     Ok(tcfg) => {
                         self.saw_session = true;
                         conn.credits = tcfg.initial_credits;
-                        let row = self.tenant_row(&tcfg.name);
-                        row.connects += 1;
+                        self.tenant_row(&tcfg.name, |r| r.connects += 1);
                         conn.send(&Frame::Welcome {
                             session: conn.session,
                             credits: tcfg.initial_credits,
@@ -271,7 +290,7 @@ impl Gateway {
                     Err(rej) => {
                         self.obs.counter("net_rejects_total", &[("reason", rej.name())]).inc();
                         if rej != Reject::UnknownTenant {
-                            self.tenant_row(&tenant).admission_rejects += 1;
+                            self.tenant_row(&tenant, |r| r.admission_rejects += 1);
                         }
                         conn.send(&Frame::Error { code: rej.code(), message: rej.name().into() });
                         conn.drain_then_close();
@@ -279,47 +298,48 @@ impl Gateway {
                 }
             }
             (ConnPhase::Open, Frame::Telemetry { node, at, values }) => {
-                let (cap, name) = match &conn.tenant {
-                    Some(t) => (t.queue_capacity, t.name.clone()),
-                    None => (0, String::new()),
-                };
+                // Lend the tenant out of `conn` so its name can label
+                // the stats and counters while `conn` is mutated.
+                let tenant = conn.tenant.take();
+                let (cap, name) =
+                    tenant.as_ref().map_or((0, ""), |t| (t.queue_capacity, t.name.as_str()));
                 if conn.credits == 0 {
                     conn.dropped += 1;
-                    self.tenant_row(&name).frames_no_credit += 1;
+                    self.tenant_row(name, |r| r.frames_no_credit += 1);
                     self.obs.counter("net_sheds_total", &[("reason", "no_credit")]).inc();
                     self.obs
                         .counter(
                             "net_tenant_sheds_total",
-                            &[("tenant", name.as_str()), ("reason", "no_credit")],
+                            &[("tenant", name), ("reason", "no_credit")],
                         )
                         .inc();
-                    self.trace_decode(&name, node, at, "shed_no_credit");
+                    self.trace_decode(name, node, at, "shed_no_credit");
                     conn.send(&Frame::Busy { dropped: conn.dropped });
                 } else if conn.queue.len() >= cap {
                     conn.dropped += 1;
-                    self.tenant_row(&name).frames_queue_full += 1;
+                    self.tenant_row(name, |r| r.frames_queue_full += 1);
                     self.obs.counter("net_sheds_total", &[("reason", "queue_full")]).inc();
                     self.obs
                         .counter(
                             "net_tenant_sheds_total",
-                            &[("tenant", name.as_str()), ("reason", "queue_full")],
+                            &[("tenant", name), ("reason", "queue_full")],
                         )
                         .inc();
-                    self.trace_decode(&name, node, at, "shed_queue_full");
+                    self.trace_decode(name, node, at, "shed_queue_full");
                     conn.send(&Frame::Busy { dropped: conn.dropped });
                 } else {
                     conn.credits -= 1;
-                    conn.queue.push_back(TelemetrySample {
-                        node: node as usize,
-                        at: at as usize,
-                        values,
+                    let start = conn.payloads.len();
+                    conn.payloads.extend_from_slice(conn.rbuf.get(payload).unwrap_or_default());
+                    conn.queue.push_back(Queued {
+                        sample: TelemetrySample { node: node as usize, at: at as usize, values },
+                        payload: start..conn.payloads.len(),
                     });
-                    self.tenant_row(&name).frames_accepted += 1;
-                    self.obs
-                        .counter("net_tenant_frames_accepted_total", &[("tenant", name.as_str())])
-                        .inc();
-                    self.trace_decode(&name, node, at, "accepted");
+                    self.tenant_row(name, |r| r.frames_accepted += 1);
+                    self.obs.counter("net_tenant_frames_accepted_total", &[("tenant", name)]).inc();
+                    self.trace_decode(name, node, at, "accepted");
                 }
+                conn.tenant = tenant;
             }
             (ConnPhase::Open | ConnPhase::AwaitHello, Frame::Bye) => {
                 conn.phase = ConnPhase::ByeWait;
@@ -392,8 +412,15 @@ impl Gateway {
         }
     }
 
-    fn tenant_row(&mut self, tenant: &str) -> &mut TenantStats {
-        self.stats.entry(tenant.to_string()).or_insert_with(|| TenantStats::new(tenant))
+    /// Applies `update` to `tenant`'s stats row, creating the row on
+    /// first use (the name is copied only then).
+    fn tenant_row(&mut self, tenant: &str, update: impl FnOnce(&mut TenantStats)) {
+        match self.stats.get_mut(tenant) {
+            Some(row) => update(row),
+            None => update(
+                self.stats.entry(tenant.to_string()).or_insert_with(|| TenantStats::new(tenant)),
+            ),
+        }
     }
 
     /// Mints the causal chain for one telemetry frame: the net lane's
@@ -434,8 +461,8 @@ fn route_label(path: &str) -> &'static str {
 
 impl NetFrontier for Gateway {
     /// Drains every session's queue (session order), journals each
-    /// sample at `now`, and grants back one flow-control credit per
-    /// drained sample.
+    /// sample at `now` from the frame payload it arrived in, and grants
+    /// back one flow-control credit per drained sample.
     fn poll(&mut self, now: usize) -> Vec<TelemetrySample> {
         let mut out = Vec::new();
         let mut conns = std::mem::take(&mut self.conns);
@@ -444,17 +471,18 @@ impl NetFrontier for Gateway {
                 continue;
             }
             let drained = conn.queue.len() as u32;
-            let name = conn.tenant_name().unwrap_or("").to_string();
             let latency = self.obs.histogram("net_ingest_latency_ticks", &[]);
-            while let Some(s) = conn.queue.pop_front() {
-                self.log.append(now, &s);
-                latency.record(now.saturating_sub(s.at) as u64);
-                out.push(s);
+            while let Some(q) = conn.queue.pop_front() {
+                self.log.append_payload(now, conn.payloads.get(q.payload).unwrap_or_default());
+                latency.record(now.saturating_sub(q.sample.at) as u64);
+                out.push(q.sample);
             }
+            conn.payloads.clear();
             if drained > 0 {
-                let row = self.tenant_row(&name);
-                row.samples_delivered += u64::from(drained);
-                row.credits_granted += u64::from(drained);
+                self.tenant_row(conn.tenant_name().unwrap_or(""), |r| {
+                    r.samples_delivered += u64::from(drained);
+                    r.credits_granted += u64::from(drained);
+                });
                 if conn.phase == ConnPhase::Open {
                     conn.credits += drained;
                     conn.send(&Frame::Credit { credits: drained });
@@ -469,8 +497,8 @@ impl NetFrontier for Gateway {
         }
         for conn in conns.iter_mut() {
             if conn.phase == ConnPhase::Closed {
-                if let Some(name) = conn.tenant_name().map(str::to_string) {
-                    self.admission.release(&name);
+                if let Some(name) = conn.tenant_name() {
+                    self.admission.release(name);
                 }
             }
         }
@@ -494,15 +522,35 @@ impl NetFrontier for Gateway {
 mod tests {
     use super::*;
     use crate::transport::{ByteStream as _, MemListener, MemPipe};
+    use alba_store::codec::put_uvarint;
 
     fn gateway() -> (Gateway, crate::transport::MemDialer) {
+        gateway_with_credits(4)
+    }
+
+    /// A one-tenant gateway granting `credits` credits and queue slots.
+    fn gateway_with_credits(credits: u32) -> (Gateway, crate::transport::MemDialer) {
         let (listener, dialer) = MemListener::new(1 << 20);
         let mut volta = TenantConfig::new("volta", "v-token");
         volta.max_connections = 1;
-        volta.initial_credits = 4;
-        volta.queue_capacity = 4;
+        volta.initial_credits = credits;
+        volta.queue_capacity = credits as usize;
         let cfg = GatewayConfig::new(vec![volta]);
         (Gateway::new(cfg, Box::new(listener)), dialer)
+    }
+
+    /// A gateway with one admitted session, its handshake read.
+    fn open_session(credits: u32) -> (Gateway, MemPipe) {
+        let (mut gw, dialer) = gateway_with_credits(credits);
+        let mut c = dialer.dial();
+        hello(&mut c, "volta", "v-token");
+        gw.pump(0, None);
+        read_frames(&mut c);
+        (gw, c)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     fn read_frames(pipe: &mut MemPipe) -> Vec<Frame> {
@@ -627,6 +675,102 @@ mod tests {
         let row = &gw.tenant_stats()[0];
         assert_eq!(row.frames_corrupt, 1);
         assert_eq!(row.frames_accepted, 1);
+    }
+
+    #[test]
+    fn one_pump_leaves_exactly_the_partial_tail_and_starts_its_clock() {
+        let (mut gw, mut c) = open_session(16);
+        let mut bytes = Vec::new();
+        for at in 0..5 {
+            bytes.extend_from_slice(&Frame::Telemetry { node: 0, at, values: vec![1.0] }.encode());
+        }
+        let last = Frame::Telemetry { node: 0, at: 5, values: vec![2.0, 3.0] }.encode();
+        let tail = &last[..last.len() / 2];
+        bytes.extend_from_slice(tail);
+        c.write(&bytes).unwrap();
+        gw.pump(3, None);
+        assert_eq!(gw.conns[0].rbuf, tail, "the five frames are consumed, the tail kept");
+        assert_eq!(gw.conns[0].partial_since, Some(3), "the tail's slowloris clock started");
+        let ats: Vec<usize> = gw.poll(3).iter().map(|s| s.at).collect();
+        assert_eq!(ats, [0, 1, 2, 3, 4]);
+        c.write(&last[last.len() / 2..]).unwrap();
+        gw.pump(4, None);
+        assert!(gw.conns[0].rbuf.is_empty());
+        assert_eq!(gw.conns[0].partial_since, None, "a completed frame stops the clock");
+        assert_eq!(gw.poll(4).len(), 1);
+    }
+
+    #[test]
+    fn corrupt_frame_mid_buffer_is_skipped_and_later_frames_decode_in_the_same_pump() {
+        let (mut gw, mut c) = open_session(16);
+        let mut bytes = Vec::new();
+        for at in 0..5u64 {
+            let mut f = Frame::Telemetry { node: 1, at, values: vec![at as f64] }.encode();
+            if at == 2 {
+                let end = f.len() - 1;
+                f[end] ^= 0xFF;
+            }
+            bytes.extend_from_slice(&f);
+        }
+        c.write(&bytes).unwrap();
+        gw.pump(1, None);
+        assert!(gw.conns[0].rbuf.is_empty(), "one pump consumed every frame");
+        let ats: Vec<usize> = gw.poll(1).iter().map(|s| s.at).collect();
+        assert_eq!(ats, [0, 1, 3, 4]);
+        let row = &gw.tenant_stats()[0];
+        assert_eq!((row.frames_corrupt, row.frames_accepted), (1, 4));
+    }
+
+    #[test]
+    fn journaled_payload_equals_appending_the_decoded_sample() {
+        let (mut gw, mut c) = open_session(4);
+        let values = vec![
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 2.0,
+            1.5,
+        ];
+        c.write(&Frame::Telemetry { node: 7, at: 41, values }.encode()).unwrap();
+        gw.pump(42, None);
+        let delivered = gw.poll(42);
+        let mut want = IngestLog::new();
+        want.append(42, &delivered[0]);
+        assert_eq!(gw.ingest_log().as_bytes(), want.as_bytes());
+    }
+
+    #[test]
+    fn replay_returns_the_sample_the_service_received_whatever_its_encoding() {
+        // node 3 as a two-byte varint, and a NaN with a payload sent
+        // through the XOR path (its gap bit clear), not as a gap.
+        let odd_nan = f64::from_bits(0xFFF8_0000_0000_0001);
+        let mut payload = vec![0x83, 0x00];
+        put_uvarint(&mut payload, 9); // at
+        put_uvarint(&mut payload, 2); // n
+        payload.push(0); // gap bitmap: nothing missing
+        put_uvarint(&mut payload, 2.5f64.to_bits());
+        put_uvarint(&mut payload, odd_nan.to_bits() ^ 2.5f64.to_bits());
+        let (mut gw, mut c) = open_session(4);
+        c.write(&frame::encode_raw(frame::T_TELEMETRY, &payload)).unwrap();
+        gw.pump(10, None);
+        let live = gw.poll(10);
+        assert_eq!((live[0].node, live[0].at), (3, 9));
+        assert_eq!(bits(&live[0].values), bits(&[2.5, odd_nan]));
+
+        let replayed = crate::journal::parse_log(gw.ingest_log().as_bytes()).unwrap();
+        assert_eq!((replayed[0].tick, replayed[0].sample.node), (10, 3));
+        assert_eq!(bits(&replayed[0].sample.values), bits(&live[0].values));
+        // The journal holds the verified bytes as they arrived ...
+        assert!(gw.ingest_log().as_bytes().ends_with(&payload));
+        // ... where re-encoding the decoded sample would canonicalise
+        // the NaN into a gap and replay different bits.
+        let mut reencoded = IngestLog::new();
+        reencoded.append(10, &live[0]);
+        let canon = crate::journal::parse_log(reencoded.as_bytes()).unwrap();
+        assert_ne!(bits(&canon[0].sample.values), bits(&live[0].values));
     }
 
     #[test]

@@ -23,16 +23,26 @@
 //! | n | varint | reading count |
 //! | column | rest | `alba-store` gauge codec, bit-exact |
 //!
+//! Everything after the delivery tick is a telemetry frame's payload.
+//! The gateway journals the CRC-verified payload bytes it received
+//! ([`IngestLog::append_payload`]) rather than re-encoding the decoded
+//! sample, so a record parses to exactly the sample the live service
+//! was handed, even when the sender chose a non-canonical encoding (an
+//! overlong varint, a NaN sent as a value rather than a gap). For
+//! canonical senders, such as [`WireClient`](crate::WireClient), the
+//! bytes equal what [`IngestLog::append`] writes for the decoded sample.
+//!
 //! A torn tail (crash mid-append) is tolerated on read — parsing stops
 //! at the truncation, mirroring `LabelJournal` semantics. Corruption
 //! *before* the tail is a typed error: silently resuming after a bad
 //! CRC would replay a different session than was captured.
 
 use crate::error::NetError;
+use crate::frame::put_telemetry_payload;
 use alba_data::MetricKind;
 use alba_serve::{NetFrontier, TelemetrySample};
 use alba_store::codec::{get_uvarint, put_uvarint, read_u32_le};
-use alba_store::{crc32, decode_column, encode_column};
+use alba_store::{crc32, decode_column};
 use std::path::Path;
 
 /// Cap on readings per record, mirroring the wire codec's cap.
@@ -52,17 +62,35 @@ impl IngestLog {
         Self::default()
     }
 
-    /// Journals one accepted sample delivered at `tick`.
+    /// Journals one sample delivered at `tick`, encoding its readings
+    /// as a telemetry frame would carry them.
     pub fn append(&mut self, tick: usize, sample: &TelemetrySample) {
-        let mut payload = Vec::with_capacity(16 + sample.values.len() * 2);
-        put_uvarint(&mut payload, tick as u64);
-        put_uvarint(&mut payload, sample.node as u64);
-        put_uvarint(&mut payload, sample.at as u64);
-        put_uvarint(&mut payload, sample.values.len() as u64);
-        payload.extend_from_slice(&encode_column(&sample.values, MetricKind::Gauge));
-        self.bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.bytes.extend_from_slice(&payload);
+        self.record(tick, |out| {
+            put_telemetry_payload(out, sample.node as u64, sample.at as u64, &sample.values);
+        });
+    }
+
+    /// Journals one accepted telemetry frame delivered at `tick`, from
+    /// the frame's CRC-verified payload (`node ‖ at ‖ n ‖ column`) as it
+    /// arrived. Parsing the record yields the sample the gateway decoded
+    /// from those bytes, whatever encoding choices the sender made.
+    pub fn append_payload(&mut self, tick: usize, payload: &[u8]) {
+        self.record(tick, |out| out.extend_from_slice(payload));
+    }
+
+    /// Appends one record: the length and CRC slots, `uvarint(tick)`,
+    /// the body `write_body` appends, then the slots filled in.
+    fn record(&mut self, tick: usize, write_body: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(&[0u8; 8]);
+        put_uvarint(&mut self.bytes, tick as u64);
+        write_body(&mut self.bytes);
+        let (head, payload) = self.bytes.split_at_mut(start + 8);
+        let len = (payload.len() as u32).to_le_bytes();
+        let crc = crc32(payload).to_le_bytes();
+        for (slot, b) in head.iter_mut().skip(start).zip(len.into_iter().chain(crc)) {
+            *slot = b;
+        }
         self.records += 1;
     }
 
