@@ -119,11 +119,6 @@ impl QueryDrilldown {
     pub fn top_label(&self) -> Option<(&str, f64)> {
         self.label_counts.iter().max_by(|a, b| a.1.total_cmp(b.1)).map(|(k, &v)| (k.as_str(), v))
     }
-
-    /// The most-queried application.
-    pub fn top_app(&self) -> Option<(&str, f64)> {
-        self.app_counts.iter().max_by(|a, b| a.1.total_cmp(b.1)).map(|(k, &v)| (k.as_str(), v))
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +195,6 @@ mod tests {
         let s2 = session(&[0.5, 0.6, 0.7, 0.8], &[0, 1, 1], &["Kripke", "Kripke", "CG"]);
         let d = QueryDrilldown::compute(&[s1, s2], 3, &names);
         assert_eq!(d.top_label().unwrap().0, "healthy");
-        assert_eq!(d.top_app().unwrap().0, "Kripke");
         assert!((d.label_counts["healthy"] - 1.5).abs() < 1e-12);
         assert!((d.app_counts["Kripke"] - 2.0).abs() < 1e-12);
     }

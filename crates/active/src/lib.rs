@@ -8,14 +8,11 @@
 
 #![warn(missing_docs)]
 
-pub mod committee;
 pub mod history;
 pub mod learner;
 pub mod noise;
 pub mod strategy;
-pub mod stream;
 
-pub use committee::{vote_entropy, Committee, CommitteeQuery};
 pub use history::{CurveBand, MethodCurves, QueryDrilldown};
 pub use learner::{run_batched_session, run_session, QueryRecord, SessionConfig, SessionResult};
 pub use noise::flip_labels;
@@ -23,4 +20,3 @@ pub use strategy::{
     entropy_score, margin_score, select, select_batch, uncertainty_score, SelectionContext,
     Strategy,
 };
-pub use stream::{run_stream_session, stream_config, StreamConfig, StreamResult};

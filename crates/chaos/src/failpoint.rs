@@ -57,16 +57,6 @@ impl Failpoints {
         p.pending += n;
     }
 
-    /// Clears any pending failures and delay on `name` (counters are
-    /// kept).
-    pub fn disarm(&self, name: &str) {
-        let mut map = self.points.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(p) = map.get_mut(name) {
-            p.delay = 0;
-            p.pending = 0;
-        }
-    }
-
     /// Records one crossing of `name` and reports whether it should
     /// fail. A delayed point first counts down its free passes; after
     /// that, each firing check consumes one pending failure.
@@ -171,14 +161,11 @@ mod tests {
     }
 
     #[test]
-    fn arming_is_additive_and_disarm_clears() {
+    fn arming_is_additive() {
         let fp = Failpoints::new();
         fp.arm("x", 1);
         fp.arm("x", 2);
         assert_eq!(fp.pending("x"), 3);
-        fp.disarm("x");
-        assert_eq!(fp.pending("x"), 0);
-        assert!(!fp.check("x"));
     }
 
     #[test]
@@ -201,17 +188,6 @@ mod tests {
         assert!(fp.check("y"));
         assert!(fp.check("y"));
         assert!(!fp.check("y"));
-    }
-
-    #[test]
-    fn disarm_clears_delay_too() {
-        let fp = Failpoints::new();
-        fp.arm_after("z", 5, 1);
-        fp.disarm("z");
-        for _ in 0..8 {
-            assert!(!fp.check("z"));
-        }
-        assert_eq!(fp.fired("z"), 0);
     }
 
     #[test]

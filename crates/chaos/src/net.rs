@@ -1,8 +1,9 @@
 //! Connection-level fault plans for the network frontier: partial
 //! frames, corrupt CRCs, slowloris pacing and reconnect storms.
 //!
-//! These faults live in their own plan type — not in [`FaultKind`] —
-//! because [`FaultPlan`](crate::FaultPlan) is a serialized artifact
+//! These faults live in their own plan type — not in
+//! [`FaultKind`](crate::FaultKind) — because
+//! [`FaultPlan`](crate::FaultPlan) is a serialized artifact
 //! (chaos campaign JSON) and extending its enum would change the wire
 //! shape of existing captures. Network faults are also injected at a
 //! different layer: the deterministic wire client mangles its *own

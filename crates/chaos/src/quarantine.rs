@@ -110,15 +110,6 @@ impl QuarantineGate {
         inner.nodes.get(&node).map(|s| s.quarantined).unwrap_or(false)
     }
 
-    /// Nodes currently quarantined, ascending.
-    pub fn quarantined_nodes(&self) -> Vec<usize> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut v: Vec<usize> =
-            inner.nodes.iter().filter(|(_, s)| s.quarantined).map(|(n, _)| *n).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Lifetime count of quarantine entries.
     pub fn entered(&self) -> u64 {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).entered
@@ -189,7 +180,6 @@ mod tests {
         g.observe(0, true);
         assert!(g.is_quarantined(0));
         assert!(!g.is_quarantined(7));
-        assert_eq!(g.quarantined_nodes(), vec![0]);
     }
 
     #[test]

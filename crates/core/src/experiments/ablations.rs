@@ -20,7 +20,6 @@ use crate::report::{fmt_opt, fmt_score, render_table};
 use crate::scale::RunScale;
 use crate::split::{prepare_split, seed_and_pool};
 use alba_active::{run_batched_session, MethodCurves, SessionConfig, Strategy};
-use alba_data::Dataset;
 use alba_ml::{ModelFamily, ModelSpec, Scores};
 use serde::{Deserialize, Serialize};
 
@@ -394,12 +393,6 @@ pub fn run_ablations(scale: &RunScale) -> AblationSuite {
     }
 }
 
-/// Helper for filtering datasets by intensity in external ablations.
-pub fn restrict_to_intensities(ds: &Dataset, lo: u32, hi: u32) -> Dataset {
-    let idx = ds.indices_where(|m, y| y == 0 || (m.intensity_pct >= lo && m.intensity_pct <= hi));
-    ds.select(&idx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,22 +423,5 @@ mod tests {
         // the lowest bucket (the monotone trend the sublinear effect model
         // produces).
         assert!(res.recall[2] + 0.15 >= res.recall[0], "recall by bucket: {:?}", res.recall);
-    }
-
-    #[test]
-    fn restrict_to_intensities_keeps_healthy() {
-        let data = SystemData::generate(
-            System::Volta,
-            FeatureMethod::Mvts,
-            alba_telemetry::Scale::Smoke,
-            54,
-        );
-        let r = restrict_to_intensities(&data.dataset, 50, 100);
-        assert!(!r.is_empty());
-        for (m, &y) in r.meta.iter().zip(&r.y) {
-            assert!(y == 0 || (50..=100).contains(&m.intensity_pct));
-        }
-        let healthy_before = data.dataset.class_counts()[0];
-        assert_eq!(r.class_counts()[0], healthy_before);
     }
 }

@@ -48,7 +48,6 @@ impl ProctorConfig {
 pub struct Proctor {
     ae: Autoencoder,
     head: LogisticRegression,
-    n_classes: usize,
 }
 
 impl Proctor {
@@ -70,15 +69,7 @@ impl Proctor {
         let mut head = LogisticRegression::new(cfg.head);
         let codes = ae.encode(labeled_x);
         head.fit(&codes, labeled_y, n_classes);
-        Self { ae, head, n_classes }
-    }
-
-    /// Re-trains only the supervised head with an updated labeled set
-    /// (the autoencoder is kept — new random labels do not change the
-    /// representation).
-    pub fn refit_head(&mut self, labeled_x: &Matrix, labeled_y: &[usize]) {
-        let codes = self.ae.encode(labeled_x);
-        self.head.fit(&codes, labeled_y, self.n_classes);
+        Self { ae, head }
     }
 
     /// Class probabilities for raw feature vectors.

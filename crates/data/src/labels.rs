@@ -31,16 +31,6 @@ impl LabelEncoder {
         enc
     }
 
-    /// Returns the index for `name`, inserting it if unseen.
-    pub fn encode_or_insert(&mut self, name: &str) -> usize {
-        if let Some(i) = self.encode(name) {
-            i
-        } else {
-            self.names.push(name.to_string());
-            self.names.len() - 1
-        }
-    }
-
     /// Returns the index for `name` if known.
     pub fn encode(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| n == name)
@@ -78,16 +68,6 @@ mod tests {
         assert_eq!(enc.encode("dial"), Some(2));
         assert_eq!(enc.decode(1), Some("memleak"));
         assert_eq!(enc.decode(3), None);
-    }
-
-    #[test]
-    fn encode_or_insert_is_idempotent() {
-        let mut enc = LabelEncoder::new();
-        let a = enc.encode_or_insert("x");
-        let b = enc.encode_or_insert("y");
-        let a2 = enc.encode_or_insert("x");
-        assert_eq!((a, b, a2), (0, 1, 0));
-        assert_eq!(enc.len(), 2);
     }
 
     #[test]

@@ -20,6 +20,4 @@ pub use labels::LabelEncoder;
 pub use matrix::{dot, Matrix};
 pub use order::{canonical_nan, from_total_order_key, sort_total, total_order_key};
 pub use series::{MetricDef, MetricKind, MultiSeries};
-pub use split::{
-    bootstrap_indices, one_per_app_class_pair, shuffle_indices, stratified_k_fold, stratified_split,
-};
+pub use split::{bootstrap_indices, one_per_app_class_pair, stratified_k_fold, stratified_split};

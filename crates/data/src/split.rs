@@ -8,11 +8,6 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Deterministically shuffles `idx` with the provided RNG.
-pub fn shuffle_indices<R: Rng>(idx: &mut [usize], rng: &mut R) {
-    idx.shuffle(rng);
-}
-
 /// Groups sample indices by class label.
 fn by_class(y: &[usize]) -> Vec<Vec<usize>> {
     let n_classes = y.iter().copied().max().map_or(0, |m| m + 1);

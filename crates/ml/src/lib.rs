@@ -33,7 +33,7 @@ pub use gbm::{GbmParams, GradientBoosting};
 pub use linear::{LogRegParams, LogisticRegression, Penalty};
 pub use metrics::{mean_and_ci95, ConfusionMatrix, Scores};
 pub use mlp::{MlpClassifier, MlpParams};
-pub use model::{argmax, normalize_row, softmax_row, Classifier};
+pub use model::{argmax, softmax_row, Classifier};
 pub use nn::{Activation, Dense, FeedForward, Optimizer};
 pub use persist::{Diagnosis, DiagnosisModel, FittedModel};
 pub use spec::{table4_grid, ModelFamily, ModelSpec};

@@ -40,22 +40,6 @@ pub fn argmax(row: &[f64]) -> usize {
     (1..row.len()).fold(0, |best, i| if row[i] > row[best] { i } else { best })
 }
 
-/// Normalises a probability row in place; falls back to uniform when the
-/// mass is zero or non-finite.
-pub fn normalize_row(row: &mut [f64]) {
-    let sum: f64 = row.iter().sum();
-    if sum > 1e-300 && sum.is_finite() {
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    } else {
-        let u = 1.0 / row.len().max(1) as f64;
-        for v in row.iter_mut() {
-            *v = u;
-        }
-    }
-}
-
 /// Numerically stable in-place softmax.
 pub fn softmax_row(row: &mut [f64]) {
     let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -104,16 +88,6 @@ mod tests {
         assert_eq!(argmax(&[0.2, 0.5, 0.5, 0.3]), 1);
         assert_eq!(argmax(&[0.1, f64::NAN, 0.9]), 2);
         assert_eq!(argmax(&[f64::NAN, 0.9]), 0);
-    }
-
-    #[test]
-    fn normalize_handles_zero_mass() {
-        let mut row = vec![0.0, 0.0];
-        normalize_row(&mut row);
-        assert_eq!(row, vec![0.5, 0.5]);
-        let mut row = vec![2.0, 6.0];
-        normalize_row(&mut row);
-        assert_eq!(row, vec![0.25, 0.75]);
     }
 
     #[test]

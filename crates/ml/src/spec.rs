@@ -55,9 +55,8 @@ pub enum ModelSpec {
 impl ModelSpec {
     /// Instantiates an unfitted classifier.
     ///
-    /// The classifier is wrapped in [`Timed`](crate::Timed), so fit and
-    /// predict times land in the global obs registry (when one is
-    /// installed) under `model_fit_ns{model=...}` /
+    /// The classifier is wrapped in [`Timed`], so fit and predict times
+    /// land in the global obs registry (when one is installed) under `model_fit_ns{model=...}` /
     /// `model_predict_ns{model=...}` with the Table IV family name.
     pub fn build(&self) -> Box<dyn Classifier> {
         let label = self.family().name();

@@ -2,7 +2,7 @@
 //!
 //! [`Timed`] forwards every call to the wrapped model while recording
 //! fit and predict wall time into the process-wide
-//! [`alba_obs::global`] registry as `model_fit_ns{model=...}` /
+//! [`alba_obs::global()`] registry as `model_fit_ns{model=...}` /
 //! `model_predict_ns{model=...}` histograms. When no global registry
 //! is installed the spans are no-ops, so wrapping is free in
 //! unobserved runs. [`ModelSpec::build`](crate::ModelSpec::build)

@@ -201,7 +201,7 @@ impl WireClient {
                 if let Some(sample) = self.backlog.pop_front() {
                     self.credits -= 1;
                     self.stats.frames_sent += 1;
-                    self.pending = frame::telemetry_frame(&sample).encode();
+                    self.pending = telemetry_bytes(sample);
                 }
             }
             if !self.pending.is_empty() {
@@ -228,7 +228,7 @@ impl WireClient {
         let mut first = true;
         while self.credits > 0 {
             let Some(sample) = self.backlog.pop_front() else { break };
-            let mut bytes = frame::telemetry_frame(&sample).encode();
+            let mut bytes = telemetry_bytes(sample);
             if corrupt && first {
                 // Flip a payload byte: the CRC check must catch it.
                 let last = bytes.len() - 1;
@@ -314,12 +314,19 @@ impl WireClient {
     }
 }
 
+/// A sample's telemetry frame, ready for the wire. The readings move
+/// into the frame; nothing is cloned.
+fn telemetry_bytes(sample: TelemetrySample) -> Vec<u8> {
+    Frame::Telemetry { node: sample.node as u64, at: sample.at as u64, values: sample.values }
+        .encode()
+}
+
 /// Drives a [`WireClient`] and a [`Gateway`](crate::gateway::Gateway)
-/// in lockstep as one [`NetFrontier`]: each service tick steps the
-/// client, pumps the gateway, and drains what arrived. This is how
-/// `FleetService::run_frontier` runs a full live network session
-/// single-threaded and deterministically — the shape the replay tests
-/// and the `fleet_gateway` example both use.
+/// in lockstep as one [`NetFrontier`](alba_serve::NetFrontier): each
+/// service tick steps the client, pumps the gateway, and drains what
+/// arrived. This is how `FleetService::run_frontier` runs a full live
+/// network session single-threaded and deterministically — the shape
+/// the replay tests and the `fleet_gateway` example both use.
 pub struct Lockstep {
     /// The driving client.
     pub client: WireClient,
@@ -346,9 +353,11 @@ impl alba_serve::NetFrontier for Lockstep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{encode_raw, put_telemetry_payload, T_TELEMETRY};
     use crate::gateway::{Gateway, GatewayConfig};
     use crate::tenant::TenantConfig;
-    use crate::transport::MemListener;
+    use crate::transport::{Listener, MemListener};
+    use alba_chaos::NetFaultEvent;
     use alba_serve::NetFrontier;
 
     fn schedule(ticks: usize, per_tick: usize) -> Vec<Vec<TelemetrySample>> {
@@ -485,6 +494,61 @@ mod tests {
         let row = &gw.tenant_stats()[0];
         assert_eq!(row.connects, 5, "initial connect + 4 reconnects all admitted");
         assert_eq!(gw.open_connections(), 0);
+    }
+
+    #[test]
+    fn telemetry_frames_equal_the_payload_buffer_composition() {
+        let sample =
+            |node, at, values: &[f64]| TelemetrySample { node, at, values: values.to_vec() };
+        let schedule = vec![
+            vec![sample(0, 0, &[f64::NAN, -0.0, 1.5]), sample(1, 0, &[f64::INFINITY])],
+            vec![sample(0, 1, &[f64::NEG_INFINITY, f64::from_bits(1)]), sample(1, 1, &[])],
+            vec![sample(0, 2, &[-f64::MIN_POSITIVE / 2.0, 0.0]), sample(1, 2, &[2.5])],
+            vec![sample(0, 3, &[f64::NAN; 3])],
+            vec![sample(0, 4, &[4.0, -4.0]), sample(1, 4, &[])],
+        ];
+        let mut want = Frame::Hello { tenant: "volta".into(), token: "tok".into() }.encode();
+        for (t, batch) in schedule.iter().enumerate() {
+            for (i, s) in batch.iter().enumerate() {
+                let mut payload = Vec::new();
+                put_telemetry_payload(&mut payload, s.node as u64, s.at as u64, &s.values);
+                let mut bytes = encode_raw(T_TELEMETRY, &payload);
+                if t == 1 && i == 0 {
+                    *bytes.last_mut().unwrap() ^= 0x55; // the CorruptCrc flip
+                }
+                want.extend_from_slice(&bytes);
+            }
+        }
+        want.extend_from_slice(&Frame::Bye.encode());
+
+        let mut faults = NetFaultPlan::empty();
+        for (kind, tick, duration) in [
+            (NetFaultKind::CorruptCrc, 1, 1),
+            (NetFaultKind::PartialFrame, 2, 1),
+            (NetFaultKind::Slowloris, 4, 5),
+        ] {
+            faults.events.push(NetFaultEvent { kind, tick, duration });
+        }
+        let (mut listener, dialer) = MemListener::new(1 << 20);
+        let mut client =
+            WireClient::new(Box::new(move || Box::new(dialer.dial())), "volta", "tok", schedule)
+                .with_faults(faults);
+        let mut server = listener.accept().unwrap().unwrap();
+        server.write(&Frame::Welcome { session: 1, credits: 64 }.encode()).unwrap();
+        let mut sent = Vec::new();
+        let mut chunk = [0u8; 4096];
+        for now in 0..100 {
+            client.step(now);
+            while let Ok(n @ 1..) = server.read(&mut chunk) {
+                sent.extend_from_slice(&chunk[..n]);
+            }
+            if client.is_done() {
+                break;
+            }
+        }
+        assert!(client.is_done() && !client.is_failed());
+        assert_eq!(client.stats().corrupted, 1);
+        assert_eq!(sent, want);
     }
 
     #[test]

@@ -98,11 +98,9 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Errors above the codec: journal parsing and gateway-level failures.
+/// Errors above the codec: ingest-log parsing.
 #[derive(Debug)]
 pub enum NetError {
-    /// A wire-codec error.
-    Frame(FrameError),
     /// The ingest log's structure is invalid at the given byte offset.
     CorruptLog {
         /// Byte offset of the unparseable record.
@@ -110,38 +108,19 @@ pub enum NetError {
         /// What failed.
         what: &'static str,
     },
-    /// An I/O failure (socket or log file).
-    Io(std::io::Error),
 }
 
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetError::Frame(e) => write!(f, "frame error: {e}"),
             NetError::CorruptLog { offset, what } => {
                 write!(f, "corrupt ingest log at byte {offset}: {what}")
             }
-            NetError::Io(e) => write!(f, "io error: {e}"),
         }
     }
 }
 
 impl std::error::Error for NetError {}
-
-impl From<FrameError> for NetError {
-    fn from(e: FrameError) -> Self {
-        NetError::Frame(e)
-    }
-}
-
-impl From<std::io::Error> for NetError {
-    fn from(e: std::io::Error) -> Self {
-        NetError::Io(e)
-    }
-}
-
-/// Convenience alias for net-crate results.
-pub type Result<T> = std::result::Result<T, NetError>;
 
 #[cfg(test)]
 mod tests {
@@ -158,12 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn errors_render_and_convert() {
+    fn errors_render() {
         let e = FrameError::BadCrc { expected: 0xDEAD_BEEF, got: 0 };
         assert!(e.to_string().contains("0xdeadbeef"));
-        let n: NetError = e.into();
-        assert!(matches!(n, NetError::Frame(_)));
-        assert!(n.to_string().contains("crc mismatch"));
+        assert!(e.to_string().contains("crc mismatch"));
         assert_eq!(FrameError::Malformed { what: "x" }.name(), "malformed");
     }
 }

@@ -27,7 +27,6 @@
 
 use crate::error::FrameError;
 use alba_data::MetricKind;
-use alba_serve::TelemetrySample;
 use alba_store::codec::{get_uvarint, put_uvarint, read_u32_le};
 use alba_store::{decode_column, encode_column, Crc32};
 
@@ -132,49 +131,55 @@ impl Frame {
         }
     }
 
-    /// Encodes the frame's payload (everything after the header).
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut p = Vec::new();
+    /// Appends the frame's payload (everything after the header).
+    fn put_payload(&self, p: &mut Vec<u8>) {
         match self {
             Frame::Hello { tenant, token } => {
-                put_string(&mut p, tenant);
-                put_string(&mut p, token);
+                put_string(p, tenant);
+                put_string(p, token);
             }
             Frame::Welcome { session, credits } => {
-                put_uvarint(&mut p, *session);
-                put_uvarint(&mut p, u64::from(*credits));
+                put_uvarint(p, *session);
+                put_uvarint(p, u64::from(*credits));
             }
-            Frame::Telemetry { node, at, values } => {
-                put_telemetry_payload(&mut p, *node, *at, values)
-            }
-            Frame::Credit { credits } => put_uvarint(&mut p, u64::from(*credits)),
-            Frame::Busy { dropped } => put_uvarint(&mut p, *dropped),
+            Frame::Telemetry { node, at, values } => put_telemetry_payload(p, *node, *at, values),
+            Frame::Credit { credits } => put_uvarint(p, u64::from(*credits)),
+            Frame::Busy { dropped } => put_uvarint(p, *dropped),
             Frame::Bye => {}
             Frame::Error { code, message } => {
-                put_uvarint(&mut p, u64::from(*code));
-                put_string(&mut p, message);
+                put_uvarint(p, u64::from(*code));
+                put_string(p, message);
             }
         }
-        p
     }
 
     /// Encodes the full frame, header included, ready for the wire.
     pub fn encode(&self) -> Vec<u8> {
-        encode_raw(self.type_byte(), &self.encode_payload())
+        framed(self.type_byte(), |p| self.put_payload(p))
     }
 }
 
 /// A frame of type `ty` around an already-encoded `payload`: header,
-/// CRC and payload, ready for the wire.
+/// CRC and payload, ready for the wire. Tests use it to send payloads
+/// no [`Frame`] encodes.
+#[cfg(test)]
 pub(crate) fn encode_raw(ty: u8, payload: &[u8]) -> Vec<u8> {
-    let len = payload.len() as u32;
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    framed(ty, |p| p.extend_from_slice(payload))
+}
+
+/// The one header writer: reserves the header, lets `write_payload`
+/// append the payload straight after it, then fills in the length and
+/// the CRC over the written slice.
+fn framed(ty: u8, write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN);
     out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(ty);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&frame_crc(VERSION, ty, len, payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[VERSION, ty]);
+    out.extend_from_slice(&[0u8; 8]);
+    write_payload(&mut out);
+    let (head, payload) = out.split_at_mut(HEADER_LEN);
+    let len = payload.len() as u32;
+    head[4..8].copy_from_slice(&len.to_le_bytes());
+    head[8..12].copy_from_slice(&frame_crc(VERSION, ty, len, payload).to_le_bytes());
     out
 }
 
@@ -331,22 +336,6 @@ fn get_u32(p: &[u8], pos: &mut usize) -> Result<u32, FrameError> {
     u32::try_from(v).map_err(|_| FrameError::Malformed { what: "u32 field out of range" })
 }
 
-/// Builds a telemetry frame from a serve-layer sample.
-pub fn telemetry_frame(s: &TelemetrySample) -> Frame {
-    Frame::Telemetry { node: s.node as u64, at: s.at as u64, values: s.values.clone() }
-}
-
-/// Converts a decoded telemetry frame back into a serve-layer sample.
-/// `None` for non-telemetry frames.
-pub fn to_sample(frame: &Frame) -> Option<TelemetrySample> {
-    match frame {
-        Frame::Telemetry { node, at, values } => {
-            Some(TelemetrySample { node: *node as usize, at: *at as usize, values: values.clone() })
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,14 +465,6 @@ mod tests {
         };
         stream.drain(..skip);
         assert!(matches!(decode_frame(&stream), Ok(Decoded::Frame(Frame::Bye, _))));
-    }
-
-    #[test]
-    fn sample_conversion_round_trips() {
-        let s = TelemetrySample { node: 9, at: 100, values: vec![1.0, 2.0] };
-        let f = telemetry_frame(&s);
-        assert_eq!(to_sample(&f), Some(s));
-        assert_eq!(to_sample(&Frame::Bye), None);
     }
 
     #[test]

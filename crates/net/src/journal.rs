@@ -6,10 +6,10 @@
 //! serve pipeline is already deterministic given (samples, ticks); the
 //! gateway extends that across the wire by recording exactly which
 //! samples it handed the service at which tick. Replaying the log
-//! through [`IngestLogReplay`] (a
-//! [`NetFrontier`](alba_serve::NetFrontier)) feeds a fresh service the
-//! same sequence, so the event log, alarms, label requests and final
-//! model all come out identical — asserted by `crates/net/tests/`.
+//! through [`IngestLogReplay`] (a [`NetFrontier`]) feeds a fresh
+//! service the same sequence, so the event log, alarms, label requests
+//! and final model all come out identical — asserted by
+//! `crates/net/tests/`.
 //!
 //! ## Record layout
 //!
@@ -43,13 +43,12 @@ use alba_data::MetricKind;
 use alba_serve::{NetFrontier, TelemetrySample};
 use alba_store::codec::{get_uvarint, put_uvarint, read_u32_le};
 use alba_store::{crc32, decode_column};
-use std::path::Path;
 
 /// Cap on readings per record, mirroring the wire codec's cap.
 const MAX_READINGS: u64 = 65_536;
 
-/// An append-only in-memory ingest log (persist with
-/// [`IngestLog::write_to`]).
+/// An append-only in-memory ingest log; [`IngestLog::as_bytes`] is its
+/// serialized form.
 #[derive(Clone, Debug, Default)]
 pub struct IngestLog {
     bytes: Vec<u8>,
@@ -102,15 +101,6 @@ impl IngestLog {
     /// The serialized log.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// Writes the log to a file (atomic enough for a capture artifact:
-    /// temp file + rename).
-    pub fn write_to(&self, path: &Path) -> Result<(), NetError> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &self.bytes)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
     }
 }
 
@@ -181,13 +171,8 @@ impl IngestLogReplay {
         Ok(Self::from_records(parse_log(bytes)?))
     }
 
-    /// Builds a replay from a log file.
-    pub fn open(path: &Path) -> Result<Self, NetError> {
-        Self::from_bytes(&std::fs::read(path)?)
-    }
-
     /// Builds a replay from parsed records (capture order).
-    pub fn from_records(records: Vec<LogRecord>) -> Self {
+    fn from_records(records: Vec<LogRecord>) -> Self {
         let last_tick = records.iter().map(|r| r.tick).max();
         Self { records, cursor: 0, last_tick }
     }
@@ -298,17 +283,5 @@ mod tests {
         let replay = IngestLogReplay::from_bytes(&[]).unwrap();
         assert!(replay.is_empty());
         assert!(replay.is_done(0));
-    }
-
-    #[test]
-    fn log_file_round_trip() {
-        let dir = std::env::temp_dir().join(format!("alba_net_log_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("capture.ilog");
-        let log = capture();
-        log.write_to(&path).unwrap();
-        let replay = IngestLogReplay::open(&path).unwrap();
-        assert_eq!(replay.len(), 4);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

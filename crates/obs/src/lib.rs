@@ -17,7 +17,7 @@
 //!   [`TickClock`] for deterministic tests and replays,
 //! * [`event`] — structured events serialised as JSONL into a
 //!   pluggable [`EventSink`],
-//! * [`global`] — an optional process-wide handle so deep call sites
+//! * [`global`](mod@global) — an optional process-wide handle so deep call sites
 //!   (model fits, feature extraction) can record without plumbing.
 //!
 //! A disabled handle ([`Obs::disabled`]) turns every operation into a

@@ -152,11 +152,6 @@ impl ReplaySource {
         self.streams.iter().map(|s| s.telemetry.label.clone()).collect()
     }
 
-    /// Current replay tick.
-    pub fn tick_index(&self) -> usize {
-        self.cursor
-    }
-
     /// Longest stream length — replay is exhausted after this many ticks.
     pub fn max_len(&self) -> usize {
         self.streams.iter().map(|s| s.telemetry.series.len()).max().unwrap_or(0)

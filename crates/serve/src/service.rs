@@ -23,7 +23,7 @@
 //! obs clock — so 1, 2, 4 or 8 workers produce byte-identical event
 //! logs, traces and models (asserted by `tests/parallel.rs`).
 
-use crate::chaos::{plan_for, ChaosRuntime, ChaosStats};
+use crate::chaos::{plan_for, ChaosRuntime};
 use crate::feedback::{LabelQueue, LabelRequest, Retrainer};
 use crate::frontier::NetFrontier;
 use crate::ingest::IngestLayer;
@@ -1352,11 +1352,6 @@ impl FleetService {
         self.shards[self.shard_of[node]].monitor(node)
     }
 
-    /// Pending label requests.
-    pub fn pending_label_requests(&self) -> usize {
-        self.label_queue.len()
-    }
-
     /// Snapshot of the pending label requests, oldest first — what the
     /// control plane's label-queue endpoint serves.
     pub fn label_requests(&self) -> Vec<LabelRequest> {
@@ -1367,10 +1362,5 @@ impl FleetService {
     /// with [`FaultPlan::to_json`] to replay the exact same chaos later.
     pub fn chaos_plan(&self) -> Option<&FaultPlan> {
         self.chaos.as_ref().map(|cz| &cz.plan)
-    }
-
-    /// Chaos injection/recovery counters, when the run is chaotic.
-    pub fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(ChaosRuntime::snapshot)
     }
 }

@@ -41,12 +41,6 @@ impl TelemetryStore {
         self.root().join("cells").join(format!("{key}.cell"))
     }
 
-    /// True when an intact-looking cell entry exists for `key` (presence
-    /// only; the CRC is validated on read).
-    pub fn contains_cell(&self, key: &str) -> bool {
-        self.cell_path(key).exists()
-    }
-
     /// Persists `payload` (serialised cell JSON) as the cell entry for
     /// `key`, atomically replacing any previous version.
     pub fn put_cell(&self, key: &str, payload: &[u8]) -> Result<()> {
@@ -145,7 +139,6 @@ mod tests {
         store.put_cell("00000000000000aa", payload).unwrap();
         let got = store.get_cell("00000000000000aa").unwrap().expect("present");
         assert_eq!(got, payload);
-        assert!(store.contains_cell("00000000000000aa"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -107,9 +107,9 @@ impl FeatureCache {
     ///
     /// The header is read and verified first. The claimed matrix shape
     /// is checked against the file length before the matrix is
-    /// allocated, then the payload streams through in [`READ_CHUNK`]
-    /// pieces, each fed to the CRC and decoded in place, so the whole
-    /// file is never held as bytes.
+    /// allocated, then the payload streams through in 1 MiB
+    /// (`READ_CHUNK`) pieces, each fed to the CRC and decoded in place,
+    /// so the whole file is never held as bytes.
     pub fn read(&self, key: &FeatureKey) -> Result<Option<Dataset>> {
         let path = self.store.feature_path(&key.store_key());
         if !path.exists() {

@@ -67,11 +67,6 @@ impl AnomalyKind {
             AnomalyKind::Dial => "Reduce effective CPU frequency",
         }
     }
-
-    /// Parses a label back into a kind.
-    pub fn from_label(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.label() == label)
-    }
 }
 
 /// An anomaly injection: kind plus intensity in percent (2–100).
@@ -246,14 +241,6 @@ mod tests {
         let sig =
             build_signature(&find_application("BT").unwrap(), 0, 4, &SignatureConfig::default());
         sig.eval(t)
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for k in AnomalyKind::ALL {
-            assert_eq!(AnomalyKind::from_label(k.label()), Some(k));
-        }
-        assert_eq!(AnomalyKind::from_label("healthy"), None);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl Signature {
         &self.patterns[g.index()]
     }
 
-    /// Mutable pattern accessor (used by tests and the anomaly suite).
-    pub fn pattern_mut(&mut self, g: MetricGroup) -> &mut GroupPattern {
-        &mut self.patterns[g.index()]
-    }
-
     /// Evaluates the healthy latent group vector at time `t`.
     pub fn eval(&self, t: f64) -> [f64; MetricGroup::ALL.len()] {
         let mut out = [0.0; MetricGroup::ALL.len()];

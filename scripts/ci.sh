@@ -41,6 +41,9 @@ fi
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings: broken and private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> alba-lint (determinism & robustness rules)"
 if [ "$FULL" = "1" ]; then
     # --check-stale additionally fails on baseline entries that no
