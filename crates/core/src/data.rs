@@ -94,19 +94,23 @@ impl SystemData {
     /// `(system, method, scale, seed)` so that the eight experiment drivers
     /// sharing a dataset pay for generation once per process.
     pub fn generate(system: System, method: FeatureMethod, scale: Scale, seed: u64) -> Self {
-        use parking_lot::Mutex;
         use std::collections::HashMap;
-        use std::sync::Arc;
+        use std::sync::{Arc, Mutex, PoisonError};
         type Key = (System, FeatureMethod, Scale, u64);
         // alba-lint: allow(nondet-taint) reason="keyed memo cache; lookups only, never iterated"
         static CACHE: Mutex<Option<HashMap<Key, Arc<SystemData>>>> = Mutex::new(None);
 
         let key = (system, method, scale, seed);
-        if let Some(hit) = CACHE.lock().as_ref().and_then(|m| m.get(&key).cloned()) {
+        if let Some(hit) = CACHE
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .and_then(|m| m.get(&key).cloned())
+        {
             return (*hit).clone();
         }
         let data = Self::generate_via_env_store(system, method, scale, seed);
-        let mut guard = CACHE.lock();
+        let mut guard = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
         // alba-lint: allow(nondet-taint) reason="keyed memo cache; lookups only, never iterated"
         let map = guard.get_or_insert_with(HashMap::new);
         // Datasets are large; keep only a handful of distinct configurations.

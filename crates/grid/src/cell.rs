@@ -20,13 +20,12 @@ use albadross::{
     prepare_split, run_proctor_session, seed_and_pool, seed_and_pool_filtered, FeatureMethod,
     ProctorConfig, SeedPool, SplitConfig, System, SystemData,
 };
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Version stamp hashed into every cell key. Bump on any change to the
 /// evaluation semantics of [`run_cell`].
@@ -205,7 +204,12 @@ fn cached_split(spec: &CellSpec, data: &SystemData) -> Arc<SplitInstance> {
         noise_seed: spec.noise_seed,
     };
     let key = alba_store::key_of("grid-split", &ident);
-    if let Some(hit) = SPLIT_CACHE.lock().as_ref().and_then(|m| m.get(&key).cloned()) {
+    if let Some(hit) = SPLIT_CACHE
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .as_ref()
+        .and_then(|m| m.get(&key).cloned())
+    {
         return hit;
     }
     let split = prepare_split(&data.dataset, &spec.split, spec.split_seed);
@@ -232,7 +236,7 @@ fn cached_split(spec: &CellSpec, data: &SystemData) -> Arc<SplitInstance> {
     let labels_flipped =
         flip_labels(&mut seed_pool.pool.y, n_classes, spec.contamination_pct, spec.noise_seed);
     let inst = Arc::new(SplitInstance { test, seed_pool, labels_flipped });
-    let mut guard = SPLIT_CACHE.lock();
+    let mut guard = SPLIT_CACHE.lock().unwrap_or_else(PoisonError::into_inner);
     let map = guard.get_or_insert_with(BTreeMap::new);
     if map.len() >= SPLIT_CACHE_CAP {
         map.clear();

@@ -29,12 +29,11 @@
 //! also via the matching per-file rule's name) or at the *root* (the
 //! hot-path fn / sink caller — interprocedural rule name only). A
 //! suppression naming an interprocedural rule that no longer silences
-//! anything is itself reported (`stale-suppression`) under
-//! `--check-stale`, so dead call edges cannot leave dead allows behind.
-//! The baseline ([`baseline`]) stays shrink-only. Run as
+//! anything is itself reported (`stale-suppression`), so dead call
+//! edges cannot leave dead allows behind. A tree passes exactly when
+//! [`Report::is_clean`]: no finding and no stale suppression. Run as
 //! `cargo run -p alba-lint`; `scripts/ci.sh` runs it as a hard gate.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
 pub mod lexer;
@@ -43,7 +42,6 @@ pub mod rules;
 pub mod suppress;
 pub mod walk;
 
-use baseline::{Baseline, Key, StaleEntry, Violation};
 use callgraph::Graph;
 use dataflow::{lock_order, nondet_taint, panic_reachability, InterFinding};
 use serde::Serialize;
@@ -76,10 +74,10 @@ pub struct Finding {
 /// The outcome of linting a set of files.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct Report {
-    /// Findings not silenced by a suppression (baseline not yet applied).
+    /// Findings not silenced by a suppression.
     pub findings: Vec<Finding>,
     /// Suppressions naming an interprocedural rule that silenced
-    /// nothing — reported (and failed) only under `--check-stale`.
+    /// nothing.
     pub stale_suppressions: Vec<Finding>,
     /// Findings silenced by a reasoned suppression.
     pub suppressed: u64,
@@ -92,13 +90,10 @@ pub struct Report {
 }
 
 impl Report {
-    /// Finding counts per (rule, path) — the shape the baseline compares.
-    pub fn counts(&self) -> BTreeMap<Key, u64> {
-        let mut m = BTreeMap::new();
-        for f in &self.findings {
-            *m.entry((f.rule.clone(), f.path.clone())).or_insert(0) += 1;
-        }
-        m
+    /// The pass/fail rule: a tree passes when nothing fires and no
+    /// suppression has gone stale.
+    pub fn is_clean(&self) -> bool {
+        self.findings.is_empty() && self.stale_suppressions.is_empty()
     }
 }
 
@@ -273,25 +268,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     Ok(analyze_sources(&files))
 }
 
-/// The result of applying a baseline to a report.
-#[derive(Clone, Debug, Serialize)]
-pub struct Gated {
-    /// (rule, path) pairs exceeding their tolerated counts.
-    pub violations: Vec<Violation>,
-    /// Findings absorbed by baseline entries.
-    pub absorbed: u64,
-    /// Baseline entries tolerating more than currently fires.
-    pub stale: Vec<StaleEntry>,
-}
-
-/// Applies `baseline` to `report`.
-pub fn gate(report: &Report, baseline: &Baseline) -> Gated {
-    let counts = report.counts();
-    let (violations, absorbed) = baseline.compare(&counts);
-    let stale = baseline.stale(&counts);
-    Gated { violations, absorbed, stale }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,36 +388,9 @@ mod tests {
     }
 
     #[test]
-    fn gate_flags_new_findings_and_stale_entries() {
-        let report = Report {
-            findings: vec![Finding {
-                rule: "no-ambient-time".into(),
-                path: "crates/serve/src/x.rs".into(),
-                line: 3,
-                message: String::new(),
-                chain: Vec::new(),
-            }],
-            ..Report::default()
-        };
-        // Empty baseline: the finding is a violation.
-        let g = gate(&report, &Baseline::default());
-        assert_eq!(g.violations.len(), 1);
-        assert!(g.stale.is_empty());
-        // Baseline covering it: absorbed; a dead entry shows up stale.
-        let mut counts = report.counts();
-        counts.insert(("no-panic-in-fallible".into(), "gone.rs".into()), 2);
-        let b = Baseline::from_counts(&counts);
-        let g = gate(&report, &b);
-        assert!(g.violations.is_empty());
-        assert_eq!(g.absorbed, 1);
-        assert_eq!(g.stale.len(), 1);
-        assert_eq!(g.stale[0].path, "gone.rs");
-    }
-
-    #[test]
     fn the_workspace_itself_is_clean() {
-        // The real tree must lint clean with an empty baseline — this is
-        // the compile-time version of the CI gate.
+        // The real tree must lint clean: this is the `cargo test`
+        // form of the CI gate.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let report = lint_workspace(&root).unwrap();
         let msgs: Vec<String> = report
@@ -450,8 +399,11 @@ mod tests {
             .chain(&report.stale_suppressions)
             .map(|f| format!("{}:{}: [{}] {}", f.path, f.line, f.rule, f.message))
             .collect();
-        assert!(report.findings.is_empty(), "workspace findings:\n{}", msgs.join("\n"));
-        assert!(report.stale_suppressions.is_empty(), "stale:\n{}", msgs.join("\n"));
+        assert!(
+            report.is_clean(),
+            "workspace findings and stale suppressions:\n{}",
+            msgs.join("\n")
+        );
         assert!(report.files_scanned > 50);
         assert!(report.suppressed > 0, "the justified suppressions must be exercised");
         // The interprocedural engine is actually engaged on the real

@@ -26,7 +26,7 @@
 
 use crate::parse::{ParsedFile, Site, SiteKind};
 
-/// A single diagnostic before suppression/baseline filtering.
+/// A single diagnostic before suppression filtering.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RawFinding {
     /// Rule that fired.

@@ -48,8 +48,8 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// `path` relative to `root`, with forward slashes (rule scopes and the
-/// baseline use this form on every platform).
+/// `path` relative to `root`, with forward slashes (rule scopes and
+/// diagnostics use this form on every platform).
 pub fn relative_path(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     rel.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/")

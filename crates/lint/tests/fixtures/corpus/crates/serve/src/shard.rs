@@ -26,7 +26,7 @@ impl Shard {
     }
 
     /// Stale: this allow names an interprocedural rule but silences
-    /// nothing — `--check-stale` must flag it.
+    /// nothing — the gate must flag it.
     fn lane_count(&self) -> usize {
         // alba-lint: allow(lock-order-cycle) reason="grandfathered from the v1 sweep"
         self.lanes.len()

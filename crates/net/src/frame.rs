@@ -28,7 +28,7 @@
 use crate::error::FrameError;
 use alba_data::MetricKind;
 use alba_store::codec::{get_uvarint, put_uvarint, read_u32_le};
-use alba_store::{decode_column, encode_column, Crc32};
+use alba_store::{decode_column, put_column, Crc32};
 
 /// Frame magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = [0xA1, 0xBA];
@@ -190,7 +190,7 @@ pub fn put_telemetry_payload(out: &mut Vec<u8>, node: u64, at: u64, values: &[f6
     put_uvarint(out, node);
     put_uvarint(out, at);
     put_uvarint(out, values.len() as u64);
-    out.extend_from_slice(&encode_column(values, MetricKind::Gauge));
+    put_column(out, values, MetricKind::Gauge);
 }
 
 /// CRC-32 over version ‖ type ‖ length(LE) ‖ payload.

@@ -1168,11 +1168,7 @@ impl FleetService {
     /// if the budget allows).
     pub fn run_to_completion(&mut self) -> ServiceStats {
         while self.tick() {}
-        if !self.label_queue.is_empty() && self.swap_ticks.len() < self.cfg.max_retrains {
-            self.retrain_round();
-        }
-        self.tracer.dump("shutdown");
-        self.stats()
+        self.shut_down()
     }
 
     /// Runs the service to completion fed from a [`NetFrontier`] (at
@@ -1194,13 +1190,20 @@ impl FleetService {
                 break;
             }
         }
+        let mut stats = self.shut_down();
+        stats.tenants = frontier.tenant_stats();
+        stats
+    }
+
+    /// The tail every run shares once its feed is done: a final retrain
+    /// round for leftover label requests if the budget allows, the
+    /// `shutdown` flight-recorder dump, then the stats.
+    fn shut_down(&mut self) -> ServiceStats {
         if !self.label_queue.is_empty() && self.swap_ticks.len() < self.cfg.max_retrains {
             self.retrain_round();
         }
         self.tracer.dump("shutdown");
-        let mut stats = self.stats();
-        stats.tenants = frontier.tenant_stats();
-        stats
+        self.stats()
     }
 
     /// The full per-tick batch schedule of this service's (held-out)

@@ -69,35 +69,37 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Encodes one metric column. The timestamp count is *not* stored — the
+/// Appends one encoded metric column to `out`, leaving the bytes
+/// already in it untouched. The timestamp count is *not* stored — the
 /// caller frames it (the segment block header records `n_samples`).
-pub fn encode_column(values: &[f64], kind: MetricKind) -> Vec<u8> {
+pub fn put_column(out: &mut Vec<u8>, values: &[f64], kind: MetricKind) {
     let n = values.len();
-    let bitmap_len = n.div_ceil(8);
-    let mut out = Vec::with_capacity(bitmap_len + n * 3);
-    out.resize(bitmap_len, 0u8);
-    for (t, v) in values.iter().enumerate() {
-        if v.is_nan() {
-            out[t / 8] |= 1 << (t % 8);
+    out.reserve(n.div_ceil(8) + n * 3);
+    for chunk in values.chunks(8) {
+        let mut gaps = 0u8;
+        for (i, v) in chunk.iter().enumerate() {
+            if v.is_nan() {
+                gaps |= 1 << i;
+            }
         }
+        out.push(gaps);
     }
     let mut prev = 0u64;
     for v in values.iter().filter(|v| !v.is_nan()) {
         let bits = v.to_bits();
         match kind {
             MetricKind::Counter => {
-                put_uvarint(&mut out, zigzag(bits.wrapping_sub(prev) as i64));
+                put_uvarint(out, zigzag(bits.wrapping_sub(prev) as i64));
             }
             MetricKind::Gauge => {
-                put_uvarint(&mut out, bits ^ prev);
+                put_uvarint(out, bits ^ prev);
             }
         }
         prev = bits;
     }
-    out
 }
 
-/// Decodes a column of `n` timestamps produced by [`encode_column`].
+/// Decodes a column of `n` timestamps written by [`put_column`].
 ///
 /// Returns [`StoreError::Corrupt`] when the buffer is too short, has
 /// trailing garbage, or contains a malformed varint.
@@ -134,8 +136,14 @@ pub fn decode_column(bytes: &[u8], n: usize, kind: MetricKind) -> Result<Vec<f64
 mod tests {
     use super::*;
 
+    fn encoded(values: &[f64], kind: MetricKind) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_column(&mut out, values, kind);
+        out
+    }
+
     fn roundtrip(values: &[f64], kind: MetricKind) {
-        let enc = encode_column(values, kind);
+        let enc = encoded(values, kind);
         let dec = decode_column(&enc, values.len(), kind).unwrap();
         assert_eq!(dec.len(), values.len());
         for (a, b) in values.iter().zip(&dec) {
@@ -177,7 +185,7 @@ mod tests {
             })
             .collect();
         roundtrip(&counter, MetricKind::Counter);
-        let enc = encode_column(&counter, MetricKind::Counter);
+        let enc = encoded(&counter, MetricKind::Counter);
         assert!(
             enc.len() < counter.len() * 8,
             "delta coding beats raw doubles: {} vs {}",
@@ -187,19 +195,53 @@ mod tests {
     }
 
     #[test]
+    fn put_column_appends_after_a_prefix_without_touching_it() {
+        let sub = f64::from_bits(1);
+        let columns: [&[f64]; 4] = [
+            &[],
+            &[f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, sub, -sub, f64::NAN, 1.5],
+            &[f64::NAN; 9],
+            &[-0.0, 0.0, sub, f64::MIN_POSITIVE, f64::MAX, -f64::INFINITY, 3.25, -7.0, 0.0, 1e-300],
+        ];
+        let prefix = [0xA1u8, 0xBA, 0x00, 0xFF, 0x80];
+        for kind in [MetricKind::Gauge, MetricKind::Counter] {
+            for values in columns {
+                let alone = encoded(values, kind);
+                let mut out = prefix.to_vec();
+                put_column(&mut out, values, kind);
+                assert_eq!(&out[..prefix.len()], &prefix, "{kind:?} {values:?}: prefix kept");
+                assert_eq!(&out[prefix.len()..], &alone[..], "{kind:?} {values:?}: same suffix");
+                roundtrip(values, kind);
+            }
+        }
+    }
+
+    #[test]
+    fn column_bytes_are_pinned() {
+        // Gap bitmap LSB first (t = 0, 3..=8 dropped), then one varint
+        // per present value: 1.0's bits, then a zero XOR / zero delta.
+        let nan = f64::NAN;
+        let values = [nan, 1.0, 1.0, nan, nan, nan, nan, nan, nan];
+        let gauge = [0xF9, 0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0xF8, 0x3F, 0x00];
+        let counter = [0xF9, 0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0xF0, 0x7F, 0x00];
+        assert_eq!(encoded(&values, MetricKind::Gauge), gauge);
+        assert_eq!(encoded(&values, MetricKind::Counter), counter);
+    }
+
+    #[test]
     fn gaps_cost_no_payload() {
         let mut vals = vec![1.0; 64];
-        let dense = encode_column(&vals, MetricKind::Gauge).len();
+        let dense = encoded(&vals, MetricKind::Gauge).len();
         for v in vals.iter_mut().skip(1).step_by(2) {
             *v = f64::NAN;
         }
-        let sparse = encode_column(&vals, MetricKind::Gauge).len();
+        let sparse = encoded(&vals, MetricKind::Gauge).len();
         assert!(sparse < dense, "dropped samples must not be stored");
     }
 
     #[test]
     fn short_buffer_is_an_error_not_a_panic() {
-        let enc = encode_column(&[1.0, 2.0, 3.0], MetricKind::Gauge);
+        let enc = encoded(&[1.0, 2.0, 3.0], MetricKind::Gauge);
         assert!(decode_column(&enc[..1], 3, MetricKind::Gauge).is_err());
         assert!(decode_column(&[], 3, MetricKind::Gauge).is_err());
         // Trailing garbage is also rejected.
@@ -212,7 +254,7 @@ mod tests {
     fn kind_mismatch_still_decodes_without_panicking() {
         // Decoding with the wrong kind yields wrong values (the segment
         // header is authoritative) but must never panic or loop.
-        let enc = encode_column(&[1.0, 2.0, 4.0], MetricKind::Counter);
+        let enc = encoded(&[1.0, 2.0, 4.0], MetricKind::Counter);
         let _ = decode_column(&enc, 3, MetricKind::Gauge);
     }
 }

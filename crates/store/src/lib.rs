@@ -43,7 +43,7 @@ pub mod store;
 pub(crate) mod testutil;
 pub mod window;
 
-pub use codec::{decode_column, encode_column};
+pub use codec::{decode_column, put_column};
 pub use crc::{crc32, Crc32};
 pub use error::{Result, StoreError};
 pub use fault::FaultHook;

@@ -31,7 +31,7 @@
 //! [`StoreError::TruncatedTail`]; a block whose CRC disagrees is
 //! [`StoreError::Corrupt`]. Readers never panic on hostile bytes.
 
-use crate::codec::{decode_column, encode_column, read_u32_le};
+use crate::codec::{decode_column, put_column, read_u32_le};
 use crate::crc::crc32;
 use crate::error::{Result, StoreError};
 use alba_data::{MetricDef, MultiSeries, SampleMeta};
@@ -59,6 +59,11 @@ struct BlockHead {
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Overwrites the `u32` slot at `at` that an earlier [`put_u32`] reserved.
+fn patch_u32(buf: &mut [u8], at: usize, v: u32) {
+    buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
 
 /// Streams [`NodeTelemetry`] blocks into one segment file.
@@ -100,19 +105,25 @@ impl SegmentWriter {
             meta: sample.meta.clone(),
         })
         .map_err(|e| StoreError::corrupt(&self.path, format!("block head serialise: {e:?}")))?;
-        let mut payload = Vec::new();
-        put_u32(&mut payload, head.len() as u32);
-        payload.extend_from_slice(head.as_bytes());
-        for (m, def) in self.metrics.iter().enumerate() {
-            let col = encode_column(sample.series.metric(m), def.kind);
-            put_u32(&mut payload, col.len() as u32);
-            payload.extend_from_slice(&col);
-        }
-        let mut frame = Vec::with_capacity(payload.len() + 12);
+        // `BLOCK_MAGIC ‖ payload length ‖ payload ‖ CRC`, written in
+        // place: each length slot is reserved, then filled in once the
+        // bytes it counts are appended.
+        let mut frame = Vec::new();
         put_u32(&mut frame, BLOCK_MAGIC);
-        put_u32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(&payload);
-        put_u32(&mut frame, crc32(&payload));
+        put_u32(&mut frame, 0);
+        put_u32(&mut frame, head.len() as u32);
+        frame.extend_from_slice(head.as_bytes());
+        for (m, def) in self.metrics.iter().enumerate() {
+            let slot = frame.len();
+            put_u32(&mut frame, 0);
+            put_column(&mut frame, sample.series.metric(m), def.kind);
+            let col_len = frame.len() - slot - 4;
+            patch_u32(&mut frame, slot, col_len as u32);
+        }
+        let payload_len = frame.len() - 8;
+        patch_u32(&mut frame, 4, payload_len as u32);
+        let crc = crc32(&frame[8..]);
+        put_u32(&mut frame, crc);
         self.file.write_all(&frame)?;
         self.blocks += 1;
         Ok(())

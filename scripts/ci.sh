@@ -45,13 +45,7 @@ echo "==> cargo doc (deny warnings: broken and private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> alba-lint (determinism & robustness rules)"
-if [ "$FULL" = "1" ]; then
-    # --check-stale additionally fails on baseline entries that no
-    # longer fire, forcing the grandfathered-findings file to shrink.
-    cargo run --release -q -p alba-lint -- --check-stale
-else
-    cargo run --release -q -p alba-lint
-fi
+cargo run --release -q -p alba-lint
 
 echo "==> cargo build --release"
 cargo build --release --workspace

@@ -13,7 +13,7 @@ use albadross_repro::lint::lint_source;
 use albadross_repro::lint::parse::parse_file;
 use albadross_repro::ml::{softmax_row, ConfusionMatrix};
 use albadross_repro::store::codec::{get_uvarint, put_uvarint};
-use albadross_repro::store::{decode_column, encode_column};
+use albadross_repro::store::{decode_column, put_column};
 use proptest::prelude::*;
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -226,7 +226,8 @@ proptest! {
         // canonical NaN (the gap bitmap carries them), everything else
         // must round-trip bit-exactly.
         let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
-        let encoded = encode_column(&values, kind);
+        let mut encoded = Vec::new();
+        put_column(&mut encoded, &values, kind);
         let decoded = decode_column(&encoded, values.len(), kind).unwrap();
         prop_assert_eq!(values.len(), decoded.len());
         for (a, b) in values.iter().zip(&decoded) {
