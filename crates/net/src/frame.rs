@@ -186,7 +186,14 @@ fn framed(ty: u8, write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 /// Appends a telemetry frame's payload, `node ‖ at ‖ n ‖ column`: three
 /// varints and the `alba-store` gauge column. The ingest journal's
 /// records are `uvarint(tick)` followed by exactly these bytes.
+///
+/// Reserves the payload's upper bound first (three 10-byte varints, the
+/// gap bitmap and a 10-byte varint per reading), so the encode grows
+/// `out` at most once: gauge XORs of unrelated readings take ~8 bytes
+/// each, past the column codec's own `3n` reserve.
 pub fn put_telemetry_payload(out: &mut Vec<u8>, node: u64, at: u64, values: &[f64]) {
+    let n = values.len();
+    out.reserve(30 + n.div_ceil(8) + 10 * n);
     put_uvarint(out, node);
     put_uvarint(out, at);
     put_uvarint(out, values.len() as u64);

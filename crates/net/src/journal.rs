@@ -283,5 +283,6 @@ mod tests {
         let replay = IngestLogReplay::from_bytes(&[]).unwrap();
         assert!(replay.is_empty());
         assert!(replay.is_done(0));
+        assert!(replay.tenant_stats().is_empty(), "log replay keeps the empty default");
     }
 }

@@ -83,58 +83,9 @@ impl TenantStats {
     }
 }
 
-/// Adapts a pre-materialised per-tick batch list into a [`NetFrontier`]
-/// — the simplest frontier, used by tests and as the glue for sources
-/// that already know their full schedule.
-#[derive(Clone, Debug)]
-pub struct BatchFrontier {
-    batches: Vec<Vec<TelemetrySample>>,
-    cursor: usize,
-}
-
-impl BatchFrontier {
-    /// A frontier delivering `batches[t]` at tick `t` (empty after).
-    pub fn new(batches: Vec<Vec<TelemetrySample>>) -> Self {
-        Self { batches, cursor: 0 }
-    }
-}
-
-impl NetFrontier for BatchFrontier {
-    fn poll(&mut self, _now: usize) -> Vec<TelemetrySample> {
-        let batch = self.batches.get_mut(self.cursor).map(std::mem::take).unwrap_or_default();
-        self.cursor += 1;
-        batch
-    }
-
-    fn is_done(&self, _now: usize) -> bool {
-        self.cursor >= self.batches.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(node: usize, at: usize) -> TelemetrySample {
-        TelemetrySample { node, at, values: vec![at as f64] }
-    }
-
-    #[test]
-    fn batch_frontier_delivers_in_schedule_order_then_finishes() {
-        let mut f = BatchFrontier::new(vec![
-            vec![sample(0, 0), sample(1, 0)],
-            Vec::new(),
-            vec![sample(0, 2)],
-        ]);
-        assert!(!f.is_done(0));
-        assert_eq!(f.poll(0).len(), 2);
-        assert!(f.poll(1).is_empty());
-        assert!(!f.is_done(2), "one batch still pending");
-        assert_eq!(f.poll(2).len(), 1);
-        assert!(f.is_done(3));
-        assert!(f.poll(3).is_empty(), "an exhausted frontier yields nothing");
-        assert!(f.tenant_stats().is_empty());
-    }
 
     #[test]
     fn tenant_stats_bucket_arithmetic() {

@@ -69,7 +69,7 @@ pub mod stats;
 pub use alba_trace::{Lane, TraceCtx, Tracer};
 pub use chaos::{plan_for, ChaosRuntime, ChaosStats, InjectedPanic};
 pub use feedback::{FeedbackStats, LabelQueue, LabelRequest, Retrainer};
-pub use frontier::{BatchFrontier, NetFrontier, TenantStats};
+pub use frontier::{NetFrontier, TenantStats};
 pub use ingest::{IngestLayer, IngestStats, SampleQueue};
 pub use replay::{FleetConfig, NodeStream, ReplaySource, TelemetrySample};
 pub use service::{FleetService, ServeConfig};
