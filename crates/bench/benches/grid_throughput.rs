@@ -1,7 +1,7 @@
 //! Grid throughput: cold compute rate, warm memo replay, resume cost.
 //!
 //! Three measured configurations of the same sweep spec, all at one
-//! worker so the rates are per-core:
+//! worker:
 //!
 //! * **cold** — a fresh store, every cell computed and persisted; the
 //!   headline cells/minute number.
@@ -17,18 +17,14 @@
 //! one-off data generation. Each configuration reports its best of
 //! `reps` runs.
 //!
-//! Writes `results/BENCH_grid.json` — a trajectory point for
-//! `scripts/bench_gate.sh` — and prints the same numbers.
-//!
-//! Environment knobs:
-//!
-//! * `ALBA_BENCH_QUICK=1` — fewer seeds/strategies, fewer reps.
+//! Writes `results/BENCH_grid.json` through [`alba_bench::Report`].
 //!
 //! Run with: `cargo bench -p alba-bench --bench grid_throughput`
 
 use std::path::PathBuf;
 use std::time::Instant;
 
+use alba_bench::{Better, Op, Report};
 use alba_grid::{run_grid, GridOutcome, GridSpec, RunOptions};
 use alba_obs::Obs;
 use alba_store::TelemetryStore;
@@ -72,17 +68,7 @@ fn timed_run(spec: &GridSpec, dir: &PathBuf) -> (f64, GridOutcome) {
 }
 
 fn main() {
-    let quick = std::env::var("ALBA_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let (seeds, strategies, budget, reps): (Vec<u64>, Vec<&str>, u64, usize) = if quick {
-        (vec![31, 32], vec!["uncertainty", "margin", "random"], 5, 3)
-    } else {
-        (
-            vec![31, 32, 33, 34],
-            vec!["uncertainty", "margin", "entropy", "random", "equal_app"],
-            8,
-            5,
-        )
-    };
+    let (seeds, strategies, budget, reps) = ([31, 32], ["uncertainty", "margin", "random"], 5, 3);
     let full = parse(&spec_json(&seeds, &strategies, budget));
     let partial = parse(&spec_json(&seeds[..1], &strategies, budget));
 
@@ -118,7 +104,6 @@ fn main() {
     // Resume: prime with the first seed only (untimed), then time the
     // full sweep picking up from that partial store.
     let mut resume_best = f64::MAX;
-    let mut resume_hits = 0usize;
     let mut resume_computed = 0usize;
     for rep in 0..reps {
         let dir = fresh_dir(&format!("resume{rep}"));
@@ -126,14 +111,11 @@ fn main() {
         assert_eq!(primed.stats.computed, primed.stats.cells);
         let (wall, out) = timed_run(&full, &dir);
         assert!(out.stats.memo_hits > 0 && out.stats.computed > 0, "resume must mix hits+misses");
-        resume_hits = out.stats.memo_hits;
         resume_computed = out.stats.computed;
         resume_best = resume_best.min(wall);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    let cells_per_sec = n as f64 / cold_best;
-    let cells_per_min = cells_per_sec * 60.0;
     let warm_ns_per_cell = warm_best * 1e9 / n as f64;
     let hit_rate_pct = 100.0 * warm_hits as f64 / n as f64;
     // Cost of resuming beyond recomputing just the missing cells at the
@@ -141,27 +123,15 @@ fn main() {
     let expected = cold_best * resume_computed as f64 / n as f64;
     let resume_overhead_pct = (resume_best / expected.max(1e-9) - 1.0) * 100.0;
 
-    println!("grid/cold     {n} cells, 1 worker     {cells_per_min:>14.1} cells/min/core");
-    println!("grid/warm     memo replay ({warm_hits}/{n} hit) {:>12.0} ns/cell", warm_ns_per_cell);
-    println!(
-        "grid/resume   {resume_hits} hit + {resume_computed} computed  {:>13.2} % over cold rate",
-        resume_overhead_pct
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"grid_throughput\",\n  \"quick\": {},\n  \
-         \"cells\": {},\n  \
-         \"cell_throughput_per_min_per_core\": {:.1},\n  \
-         \"grid_cells_per_sec_per_core\": {:.2},\n  \
-         \"memo_hit_rate_pct\": {:.1},\n  \
-         \"warm_replay_ns_per_cell\": {:.0},\n  \
-         \"resume_overhead_pct\": {:.2}\n}}\n",
-        quick, n, cells_per_min, cells_per_sec, hit_rate_pct, warm_ns_per_cell, resume_overhead_pct,
-    );
-    // `cargo bench` runs the binary with cwd = the package dir, so
-    // anchor the artifact at the workspace root explicitly.
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results).expect("create results dir");
-    std::fs::write(results.join("BENCH_grid.json"), json).expect("write results/BENCH_grid.json");
-    println!("grid/json     wrote results/BENCH_grid.json");
+    Report::new("grid_throughput")
+        .metric("cells", n as f64, "cells", Better::Info)
+        .metric("cells_per_min", n as f64 * 60.0 / cold_best, "cells/min", Better::Higher)
+        .metric("memo_hit_rate_pct", hit_rate_pct, "%", Better::Info)
+        .metric("warm_replay_ns_per_cell", warm_ns_per_cell, "ns", Better::Lower)
+        .metric("resume_overhead_pct", resume_overhead_pct, "%", Better::Info)
+        .require("cells", Op::Above, 0.0)
+        .require("memo_hit_rate_pct", Op::Exactly, 100.0)
+        .require("cells_per_min", Op::Above, 0.0)
+        .require("warm_replay_ns_per_cell", Op::Above, 0.0)
+        .finish("BENCH_grid.json");
 }

@@ -5,21 +5,16 @@
 //!
 //! * `codec` — [`alba_net::frame::decode_frame`] over a representative
 //!   telemetry frame (24 readings): the per-frame floor of the wire
-//!   path, no I/O, one core.
+//!   path, no I/O, one thread.
 //! * `gateway` — a complete live session at smoke scale: deterministic
 //!   wire client → gateway (MemPipe transport) → admission → credits →
-//!   ingest journal → `FleetService` diagnosis. Frames/sec is accepted
-//!   telemetry frames over wall time; p99 ingest→diagnosis latency is
-//!   read back from the gateway's `net_ingest_latency_ticks` histogram
+//!   ingest journal → `FleetService` diagnosis. Frames/s is accepted
+//!   telemetry frames over wall time; ingest→diagnosis latency is read
+//!   back from the gateway's `net_ingest_latency_ticks` histogram
 //!   (service ticks between a sample's source tick and its delivery
 //!   into the diagnosis pipeline).
 //!
-//! Writes `results/BENCH_net.json` — the machine-readable trajectory
-//! point `scripts/ci.sh` smoke-checks — and prints the same numbers.
-//!
-//! Environment knobs:
-//!
-//! * `ALBA_BENCH_QUICK=1` — fewer codec repetitions, shorter session.
+//! Writes `results/BENCH_net.json` through [`alba_bench::Report`].
 //!
 //! Run with: `cargo bench -p alba-bench --bench net_throughput`
 
@@ -27,6 +22,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use alba_bench::{Better, Op, Report};
 use alba_net::frame::decode_frame;
 use alba_net::{Frame, Gateway, GatewayConfig, Lockstep, MemListener, TenantConfig, WireClient};
 use alba_obs::{Obs, TickClock};
@@ -54,9 +50,9 @@ struct GatewayRun {
     latency_p99_ticks: u64,
 }
 
-fn bench_gateway(quick: bool) -> GatewayRun {
-    let mut cfg = ServeConfig::new(System::Volta, Scale::Smoke, if quick { 16 } else { 32 }, 42);
-    cfg.fleet.duration_override_s = Some(if quick { 120 } else { 240 });
+fn bench_gateway() -> GatewayRun {
+    let mut cfg = ServeConfig::new(System::Volta, Scale::Smoke, 16, 42);
+    cfg.fleet.duration_override_s = Some(120);
     cfg.monitor = MonitorConfig { window: 60, stride: 10, confirm: 2, min_confidence: 0.5 };
     // Keep the measured region pure ingest + diagnosis: no retraining.
     cfg.max_retrains = 0;
@@ -98,42 +94,29 @@ fn bench_gateway(quick: bool) -> GatewayRun {
 }
 
 fn main() {
-    let quick = std::env::var("ALBA_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let codec_reps = if quick { 50_000 } else { 500_000 };
+    let codec_fps = bench_codec(50_000);
+    let run = bench_gateway();
 
-    let codec_fps = bench_codec(codec_reps);
-    let run = bench_gateway(quick);
-
-    println!("net/codec    decode                {:>14.0} frames/s/core", codec_fps);
-    println!(
-        "net/gateway  ingest->diagnosis     {:>14.0} frames/s/core  ({} frames)",
-        run.frames_per_sec, run.frames_accepted
-    );
-    println!(
-        "net/latency  ingest->diagnosis     p50 {} ticks, p99 {} ticks",
-        run.latency_p50_ticks, run.latency_p99_ticks
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"net_throughput\",\n  \"quick\": {},\n  \
-         \"codec_decode_frames_per_sec_per_core\": {:.0},\n  \
-         \"gateway_frames_per_sec_per_core\": {:.0},\n  \
-         \"gateway_frames_accepted\": {},\n  \
-         \"gateway_samples_delivered\": {},\n  \
-         \"ingest_to_diagnosis_latency_p50_ticks\": {},\n  \
-         \"ingest_to_diagnosis_latency_p99_ticks\": {}\n}}\n",
-        quick,
-        codec_fps,
-        run.frames_per_sec,
-        run.frames_accepted,
-        run.samples_delivered,
-        run.latency_p50_ticks,
-        run.latency_p99_ticks,
-    );
-    // `cargo bench` runs the binary with cwd = the package dir, so
-    // anchor the artifact at the workspace root explicitly.
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results).expect("create results dir");
-    std::fs::write(results.join("BENCH_net.json"), json).expect("write results/BENCH_net.json");
-    println!("net/json     wrote results/BENCH_net.json");
+    Report::new("net_throughput")
+        .metric("codec_decode_frames_per_s", codec_fps, "frames/s", Better::Higher)
+        .metric("gateway_frames_per_s", run.frames_per_sec, "frames/s", Better::Higher)
+        .metric("gateway_frames_accepted", run.frames_accepted as f64, "frames", Better::Info)
+        .metric("gateway_samples_delivered", run.samples_delivered as f64, "samples", Better::Info)
+        .metric(
+            "ingest_to_diagnosis_latency_p50_ticks",
+            run.latency_p50_ticks as f64,
+            "ticks",
+            Better::Info,
+        )
+        .metric(
+            "ingest_to_diagnosis_latency_p99_ticks",
+            run.latency_p99_ticks as f64,
+            "ticks",
+            Better::Info,
+        )
+        .require("gateway_frames_accepted", Op::Above, 0.0)
+        .require("codec_decode_frames_per_s", Op::AtLeast, 0.0)
+        .require("gateway_frames_per_s", Op::AtLeast, 0.0)
+        .require("ingest_to_diagnosis_latency_p99_ticks", Op::AtLeast, 0.0)
+        .finish("BENCH_net.json");
 }

@@ -7,20 +7,10 @@ Looks for the rendered sections of fig5/fig6/fig7/fig8, Table V and the
 ablation suite in the log and splices them into EXPERIMENTS.md at the
 corresponding `<!-- ..._RESULTS -->` markers. Idempotent: run once per
 placeholder (already-filled markers are left untouched).
-
-Also refreshes the "Perf trajectory" table in README.md between the
-`PERF_TABLE_START`/`PERF_TABLE_END` markers from the current
-`results/BENCH_*.json` artifacts, through the same renderer
-(`scripts/perf_table.py`) that `bench_gate.sh --table` prints — so the
-README can never disagree with the gate's view of the trajectory.
 """
 
-import os
 import re
 import sys
-
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import perf_table  # noqa: E402  (sibling module, needs the path tweak)
 
 
 def block(log: str, start: str, end: str) -> str | None:
@@ -37,18 +27,6 @@ def fill(exp: str, marker: str, content: str | None, preamble: str) -> str:
     if content is None or marker not in exp:
         return exp
     return exp.replace(marker, f"{preamble}\n\n```\n{content}\n```")
-
-
-def refresh_perf_table() -> None:
-    start, end = "<!-- PERF_TABLE_START -->", "<!-- PERF_TABLE_END -->"
-    readme = open("README.md").read()
-    if start not in readme or end not in readme:
-        print("README.md has no PERF_TABLE markers; perf table left alone")
-        return
-    head, _, rest = readme.partition(start)
-    _, _, tail = rest.partition(end)
-    open("README.md", "w").write(f"{head}{start}\n{perf_table.render()}{end}{tail}")
-    print("README.md perf trajectory table refreshed")
 
 
 def main() -> None:
@@ -122,7 +100,6 @@ def main() -> None:
     open("EXPERIMENTS.md", "w").write(exp)
     remaining = exp.count("<!--")
     print(f"filled; {remaining} markers remaining")
-    refresh_perf_table()
 
 
 if __name__ == "__main__":
