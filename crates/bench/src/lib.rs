@@ -7,34 +7,33 @@
 //! * `diag` — the simulator-calibration report,
 //! * `benches/*.rs` — six `fn main` benches (`cargo bench -p alba-bench`),
 //!   each reporting through one [`Report`] into `results/BENCH_*.json`,
-//! * `bench_gate` — compares those points with the ones committed at
-//!   `HEAD` through [`gate`].
+//! * `bench_gate` — judges alternating parent/change passes of those
+//!   benches, or of perfbench, by one rule, [`judge`].
 //!
 //! A [`Report`] declares, once per metric, its unit and which way is
 //! better, plus the host-independent requirements the bench must meet.
-//! The gate compares only the keys declared [`Better::Higher`] or
-//! [`Better::Lower`], each with the same tolerance, [`GATE_TOL_PCT`].
 
 #![warn(missing_docs)]
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-/// How far, in percent of its committed value, a compared key may move
-/// in its worse direction before the gate fails.
+/// The [`judge`] bound, in percent of the parent's median, of every
+/// `Higher`/`Lower` bench key.
 pub const GATE_TOL_PCT: f64 = 20.0;
 
 /// Which way a metric is better. Only `Higher` and `Lower` keys are
-/// compared by the gate; `Info` keys (counts, ratios with their own
-/// requirement, sub-resolution figures) are recorded but never compared.
+/// judged by the gate; `Info` keys (counts, ratios with their own
+/// requirement, sub-resolution figures) are recorded but never judged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Better {
     /// A larger value is an improvement.
     Higher,
     /// A smaller value is an improvement.
     Lower,
-    /// Not compared.
+    /// Not judged.
     Info,
 }
 
@@ -84,7 +83,8 @@ impl Op {
     }
 }
 
-/// A host-independent bound one reported key must meet on every run.
+/// A host-independent bound one reported key must meet: on each run of
+/// the bench alone, and in the gate on the change's medians.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Requirement {
     /// The constrained metric's key.
@@ -132,7 +132,7 @@ impl Report {
 
     /// One line per requirement that is not met, naming its key; a
     /// requirement on a key that was never reported is not met.
-    fn unmet(&self) -> Vec<String> {
+    pub fn unmet(&self) -> Vec<String> {
         self.requires
             .iter()
             .filter_map(|r| {
@@ -144,6 +144,18 @@ impl Report {
                 }
             })
             .collect()
+    }
+
+    /// The point of several passes of one bench: the last pass with each
+    /// metric's value replaced by its median over the passes that report
+    /// it, so [`Report::unmet`] on it judges the requirements on medians.
+    pub fn median(passes: &[Report]) -> Option<Report> {
+        let mut point = passes.last()?.clone();
+        for m in &mut point.metrics {
+            let values: Vec<f64> = passes.iter().filter_map(|p| p.value(&m.key)).collect();
+            m.value = Spread::of(&values).median;
+        }
+        Some(point)
     }
 
     /// Prints every metric, writes `results/<file>`, then exits non-zero
@@ -172,37 +184,152 @@ pub fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// One key the gate compared.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Comparison {
-    /// The compared key.
-    pub key: String,
-    /// Its committed value.
-    pub baseline: f64,
-    /// Its fresh value.
-    pub current: f64,
-    /// True when it moved more than [`GATE_TOL_PCT`] in its worse direction.
-    pub regressed: bool,
+/// One side's median and quartiles over its runs of a metric, as
+/// Python's `statistics.median` and `statistics.quantiles(n=4,
+/// method="inclusive")` compute them; under two values, both quartiles
+/// are the value (NaN for none).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// The median.
+    pub median: f64,
+    /// The first quartile.
+    pub q1: f64,
+    /// The third quartile.
+    pub q3: f64,
 }
 
-/// Compares `current` with the committed point `baseline_json`. `None`
-/// when there is no usable baseline: a new bench, or a point in a layout
-/// [`Report`] does not read. Otherwise one [`Comparison`] per `Higher` or
-/// `Lower` key of `current` that the baseline also reports.
-pub fn gate(current: &Report, baseline_json: Option<&str>) -> Option<Vec<Comparison>> {
-    let baseline: Report = serde_json::from_str(baseline_json?).ok()?;
-    let tol = GATE_TOL_PCT / 100.0;
-    let compared = current.metrics.iter().filter_map(|m| {
-        let reference = baseline.value(&m.key)?;
-        let slack = tol * reference.abs();
-        let regressed = match m.better {
-            Better::Higher => m.value < reference - slack,
-            Better::Lower => m.value > reference + slack,
-            Better::Info => return None,
+impl Spread {
+    /// The spread of `values`, in any order.
+    pub fn of(values: &[f64]) -> Self {
+        let mut v = values.to_vec();
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        if n < 2 {
+            let x = v.first().copied().unwrap_or(f64::NAN);
+            return Self { median: x, q1: x, q3: x };
+        }
+        let quartile = |i: usize| {
+            let (j, delta) = (i * (n - 1) / 4, i * (n - 1) % 4);
+            (v[j] * (4 - delta) as f64 + v[j + 1] * delta as f64) / 4.0
         };
-        Some(Comparison { key: m.key.clone(), baseline: reference, current: m.value, regressed })
-    });
-    Some(compared.collect())
+        let median = if n % 2 == 1 { v[n / 2] } else { (v[n / 2 - 1] + v[n / 2]) / 2.0 };
+        Self { median, q1: quartile(1), q3: quartile(3) }
+    }
+}
+
+/// What paired runs show about one metric; see [`judge`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Verdict {
+    /// The change wins >= 9/10 of the pairs and beats the parent's median
+    /// by more than the parent's interquartile range.
+    Gain,
+    /// The change's median is worse by this fraction, beyond the bound.
+    Worse(f64),
+    /// The spread is this fraction, beyond the bound, and not every
+    /// change run beats every parent run: the runs cannot show the
+    /// metric held.
+    Unresolved(f64),
+    /// None of these.
+    Within,
+}
+
+impl std::fmt::Display for Verdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Verdict::Gain => write!(f, "gain"),
+            Verdict::Worse(by) => write!(f, "worse by {:.1}%", by * 100.0),
+            Verdict::Unresolved(spread) => write!(f, "unresolved (spread {:.1}%)", spread * 100.0),
+            Verdict::Within => write!(f, "within"),
+        }
+    }
+}
+
+/// One metric judged over paired runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Judgement {
+    /// The parent's runs.
+    pub parent: Spread,
+    /// The change's runs.
+    pub change: Spread,
+    /// Pairs the change wins; a tie counts for neither side.
+    pub wins: usize,
+    /// The verdict.
+    pub verdict: Verdict,
+}
+
+/// Judges one metric over `(parent, change)` pairs: `better` is its
+/// direction (`Info` counts as `Higher`), `bound` the largest worse move
+/// and spread that pass, both as fractions of the parent's median. The
+/// spread is the larger side's interquartile range.
+pub fn judge(pairs: &[(f64, f64)], better: Better, bound: f64) -> Judgement {
+    let beats = |c: f64, p: f64| if better == Better::Lower { c < p } else { c > p };
+    let wins = pairs.iter().filter(|&&(p, c)| beats(c, p)).count();
+    let (pv, cv): (Vec<f64>, Vec<f64>) = pairs.iter().copied().unzip();
+    let (parent, change) = (Spread::of(&pv), Spread::of(&cv));
+    let (pm, iqr) = (parent.median, parent.q3 - parent.q1);
+    let gap = if better == Better::Lower { pm - change.median } else { change.median - pm };
+    let scale = |x: f64| if pm == 0.0 { 0.0 } else { x / pm.abs() };
+    let (worse, spread) = (scale(-gap), scale(iqr.max(change.q3 - change.q1)));
+    let every_run_better = cv.iter().all(|&c| pv.iter().all(|&p| beats(c, p)));
+    let verdict = if wins * 10 >= 9 * pairs.len() && gap > iqr {
+        Verdict::Gain
+    } else if worse > bound {
+        Verdict::Worse(worse)
+    } else if spread > bound && !every_run_better {
+        Verdict::Unresolved(spread)
+    } else {
+        Verdict::Within
+    };
+    Judgement { parent, change, wins, verdict }
+}
+
+/// One side's pass in a runs dir.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Pass {
+    /// Every reported value, by key.
+    pub values: BTreeMap<String, f64>,
+    /// perfbench's operations attempted and failed.
+    pub ops: (u64, u64),
+    /// perfbench's own check (true for a `cargo bench` pass).
+    pub correct: bool,
+    /// The points of a `cargo bench` pass.
+    pub reports: Vec<Report>,
+}
+
+#[derive(Default, Deserialize)]
+struct PerfLine {
+    correct: bool,
+    attempted: u64,
+    failed: u64,
+    metrics: BTreeMap<String, PerfValue>,
+}
+
+#[derive(Deserialize)]
+struct PerfValue {
+    value: f64,
+}
+
+impl Pass {
+    /// A perfbench run's result line (`<side>-<seed>.json`); a missing or
+    /// unreadable line reads as an incorrect run with nothing in it.
+    pub fn perf(path: &Path) -> Self {
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        let line: PerfLine = serde_json::from_str(text.trim()).unwrap_or_default();
+        let values = line.metrics.into_iter().map(|(k, m)| (k, m.value)).collect();
+        Pass { values, ops: (line.attempted, line.failed), correct: line.correct, reports: vec![] }
+    }
+
+    /// One `cargo bench` pass's points (`<side>-<pass>/BENCH_*.json`), by
+    /// file name; a file that does not parse as a [`Report`] is left out.
+    pub fn benches(dir: &Path) -> Self {
+        let entries = std::fs::read_dir(dir).into_iter().flatten();
+        let mut files: Vec<PathBuf> = entries.filter_map(|e| Some(e.ok()?.path())).collect();
+        files.sort();
+        let read = |f: &PathBuf| serde_json::from_str(&std::fs::read_to_string(f).ok()?).ok();
+        let reports: Vec<Report> = files.iter().filter_map(read).collect();
+        let values = reports.iter().flat_map(|r| &r.metrics).map(|m| (m.key.clone(), m.value));
+        Pass { values: values.collect(), ops: (0, 0), correct: true, reports }
+    }
 }
 
 #[cfg(test)]
@@ -219,10 +346,6 @@ mod tests {
 
     fn json(r: &Report) -> String {
         serde_json::to_string_pretty(r).unwrap()
-    }
-
-    fn regressed(rows: &[Comparison]) -> Vec<&str> {
-        rows.iter().filter(|c| c.regressed).map(|c| c.key.as_str()).collect()
     }
 
     #[test]
@@ -249,47 +372,113 @@ mod tests {
         assert!(point(1.0, 1.0, 1.0).unmet().is_empty());
     }
 
-    #[test]
-    fn a_quarter_move_the_wrong_way_regresses() {
-        let base = json(&point(1000.0, 100.0, 5.0));
-        let rows = gate(&point(750.0, 125.0, 5.0), Some(&base)).unwrap();
-        assert_eq!(regressed(&rows), ["rate_per_s", "ns_per_op"]);
-        // The same quarter in the better direction is not a regression.
-        let rows = gate(&point(1250.0, 75.0, 5.0), Some(&base)).unwrap();
-        assert!(regressed(&rows).is_empty());
+    fn pairs(parent: &[f64], change: &[f64]) -> Vec<(f64, f64)> {
+        parent.iter().copied().zip(change.iter().copied()).collect()
     }
 
     #[test]
-    fn a_fifteen_percent_move_passes_either_way() {
-        let base = json(&point(1000.0, 100.0, 5.0));
-        for (higher, lower) in [(850.0, 115.0), (1150.0, 85.0)] {
-            let rows = gate(&point(higher, lower, 5.0), Some(&base)).unwrap();
-            assert_eq!(rows.len(), 2);
-            assert!(regressed(&rows).is_empty(), "{rows:?}");
+    fn each_verdict_has_a_case() {
+        let p: Vec<f64> = (100..110).map(f64::from).collect();
+        let c: Vec<f64> = p.iter().map(|v| v - 10.0).collect();
+        assert_eq!(judge(&pairs(&p, &c), Better::Lower, 0.2).verdict, Verdict::Gain);
+
+        let worse = judge(&pairs(&[100.0; 3], &[70.0; 3]), Better::Higher, 0.2);
+        assert_eq!(worse.verdict, Verdict::Worse(0.3));
+        assert_eq!(worse.verdict.to_string(), "worse by 30.0%");
+
+        let wide = pairs(&[100.0, 200.0, 100.0, 200.0], &[150.0; 4]);
+        let unresolved = judge(&wide, Better::Lower, 0.2);
+        assert_eq!(unresolved.verdict, Verdict::Unresolved(100.0 / 150.0));
+        assert_eq!(unresolved.verdict.to_string(), "unresolved (spread 66.7%)");
+
+        let within =
+            judge(&pairs(&[100.0, 101.0, 99.0], &[102.0, 100.0, 98.0]), Better::Lower, 0.25);
+        assert_eq!(within.verdict, Verdict::Within);
+        assert_eq!((within.wins, within.parent.median, within.change.median), (2, 100.0, 100.0));
+    }
+
+    #[test]
+    fn ties_count_for_neither_side() {
+        let tied = pairs(&[5.0, 5.0, 5.0], &[5.0, 5.0, 4.0]);
+        assert_eq!(judge(&tied, Better::Lower, 0.2).wins, 1);
+        assert_eq!(judge(&tied, Better::Higher, 0.2).wins, 0);
+        let all_tied = judge(&pairs(&[5.0; 4], &[5.0; 4]), Better::Higher, 0.2);
+        assert_eq!((all_tied.wins, all_tied.verdict), (0, Verdict::Within));
+    }
+
+    #[test]
+    fn every_run_better_is_exempt_from_unresolved() {
+        // The parent's spread (450 over a median of 150) is far wider than
+        // the bound, and the gap (90) is inside the parent's IQR.
+        let parent = [100.0, 150.0, 1000.0];
+        let exempt = judge(&pairs(&parent, &[50.0, 60.0, 90.0]), Better::Lower, 0.2);
+        assert_eq!(exempt.verdict, Verdict::Within);
+        let one_run_not_better = judge(&pairs(&parent, &[50.0, 60.0, 120.0]), Better::Lower, 0.2);
+        assert_eq!(one_run_not_better.verdict, Verdict::Unresolved(3.0));
+    }
+
+    #[test]
+    fn quartiles_match_pythons_inclusive_method() {
+        // Literals printed by `statistics.median` and
+        // `statistics.quantiles(v, n=4, method="inclusive")` (Python 3.11).
+        let cases: [(&[f64], [f64; 3]); 5] = [
+            (&[5.5], [5.5, 5.5, 5.5]),
+            (&[3.0, 1.0], [2.0, 1.5, 2.5]),
+            (&[1.0, 2.0, 4.0], [2.0, 1.5, 3.0]),
+            (&[0.7, 0.1, 0.4, 1.3], [0.55, 0.32500000000000007, 0.8499999999999999]),
+            (&[9.1, 2.3, 7.7, 0.5, 3.3, 6.1, 8.8, 1.9, 4.4, 5.0], [4.7, 2.55, 7.300000000000001]),
+        ];
+        for (values, [median, q1, q3]) in cases {
+            assert_eq!(Spread::of(values), Spread { median, q1, q3 }, "{values:?}");
         }
+        assert!(Spread::of(&[]).median.is_nan());
     }
 
     #[test]
-    fn info_keys_are_never_compared() {
-        let base = json(&point(1000.0, 100.0, 1.0));
-        let rows = gate(&point(1000.0, 100.0, 1000.0), Some(&base)).unwrap();
-        assert!(rows.iter().all(|c| c.key != "overhead_pct"), "{rows:?}");
+    fn one_pass_of_each_kind_parses() {
+        let dir = std::env::temp_dir().join(format!("alba-bench-pass-{}", std::process::id()));
+        let benches = dir.join("change-1");
+        std::fs::create_dir_all(&benches).unwrap();
+        let line = r#"{"correct": true, "attempted": 52000, "failed": 0, "metrics":
+            {"setup_s": {"value": 0.85, "unit": "s"}, "diag_f1": {"value": 1e-7, "unit": ""}}}"#;
+        std::fs::write(dir.join("change-101.json"), format!("{}\n", line.replace('\n', "")))
+            .unwrap();
+        std::fs::write(benches.join("BENCH_demo.json"), json(&point(1000.0, 50.0, 4.5))).unwrap();
+        std::fs::write(benches.join("BENCH_torn.json"), "{\"bench\": \"to").unwrap();
+        std::fs::write(benches.join("notes.txt"), "not a point").unwrap();
+
+        let perf = Pass::perf(&dir.join("change-101.json"));
+        assert!(perf.correct && perf.ops == (52000, 0) && perf.reports.is_empty());
+        let values: Vec<(&str, f64)> = perf.values.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(values, [("diag_f1", 1e-7), ("setup_s", 0.85)]);
+        assert_eq!(Pass::perf(&dir.join("parent-101.json")), Pass::default());
+
+        let pass = Pass::benches(&benches);
+        assert_eq!((pass.reports.len(), pass.ops, pass.correct), (1, (0, 0), true));
+        assert_eq!(pass.reports[0], point(1000.0, 50.0, 4.5));
+        assert_eq!((pass.values.get("ns_per_op"), pass.values.get("setup_s")), (Some(&50.0), None));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn a_key_missing_from_the_baseline_is_skipped() {
-        let mut base = point(1000.0, 100.0, 5.0);
-        base.metrics.retain(|m| m.key != "ns_per_op");
-        let rows = gate(&point(1000.0, 1e9, 5.0), Some(&json(&base))).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].key, "rate_per_s");
-    }
+    fn requirements_are_judged_on_the_median_pass() {
+        let passes = |overheads: [f64; 3]| -> Vec<Report> {
+            let mut out = Vec::new();
+            for o in overheads {
+                let mut r = point(1000.0, 50.0, o);
+                r.require("overhead_pct", Op::AtMost, 10.0);
+                out.push(r);
+            }
+            out
+        };
+        let one_loud = passes([12.0, 4.0, 5.0]);
+        assert_eq!(one_loud[0].unmet().len(), 1);
+        assert!(Report::median(&one_loud).unwrap().unmet().is_empty());
 
-    #[test]
-    fn an_old_flat_baseline_counts_as_none() {
-        let flat = r#"{"bench": "demo", "quick": true, "rate_per_s": 1000, "ns_per_op": 100}"#;
-        assert_eq!(gate(&point(1.0, 1e9, 5.0), Some(flat)), None);
-        assert_eq!(gate(&point(1.0, 1e9, 5.0), Some("not json")), None);
-        assert_eq!(gate(&point(1.0, 1e9, 5.0), None), None);
+        let one_quiet = passes([9.0, 12.0, 13.0]);
+        assert!(one_quiet[0].unmet().is_empty());
+        let unmet = Report::median(&one_quiet).unwrap().unmet();
+        assert_eq!(unmet, ["overhead_pct = 12, required <= 10"]);
+        assert_eq!(Report::median(&[]), None);
     }
 }

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Repository CI gate: formatting, lints, build, tests.
 #
-# Usage: scripts/ci.sh [--full]
+# Usage: scripts/ci.sh [--full] [--parent <rev>]
 # Runs everything the tree must pass before a merge; exits non-zero on
-# the first failure. --full additionally runs the #[ignore]d slow
+# the first failure. The bench step runs 8 alternating passes of the six
+# benches at <rev> (default HEAD, which checks the requirements and the
+# gate's own noise floor) and at the committed HEAD, and fails when
+# bench_gate judges a key worse or a requirement unmet on the change's
+# medians. --full additionally runs the #[ignore]d slow
 # suites (exhaustive store byte-flip sweep, long chaos cases, the
 # 24-cell parallel determinism stress matrix) and the sanitizer jobs
 # (tsan over the threaded crates, miri over the linter), each skipped
@@ -13,11 +17,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FULL=0
-for arg in "$@"; do
-    case "$arg" in
+PARENT=HEAD
+while [ $# -gt 0 ]; do
+    case "$1" in
         --full) FULL=1 ;;
-        *) echo "unknown argument: $arg (usage: scripts/ci.sh [--full])" >&2; exit 2 ;;
+        --parent) [ $# -ge 2 ] || { echo "--parent needs a revision" >&2; exit 2; }; PARENT=$2; shift ;;
+        *) echo "unknown argument: $1 (usage: scripts/ci.sh [--full] [--parent <rev>])" >&2; exit 2 ;;
     esac
+    shift
 done
 
 echo "==> cargo fmt --check"
@@ -434,10 +441,7 @@ diff <(grep -v 'par_worker' "$OUT_PAR_1/fleet_monitor_metrics.prom") \
     || { echo "metric expositions diverged beyond par_worker_* across worker counts" >&2; exit 1; }
 echo "  1-worker and 4-worker artifacts identical (modulo par_worker_* gauges): OK"
 
-echo "==> benches (all six; each writes results/BENCH_*.json and fails on an unmet requirement)"
-cargo bench -p alba-bench
-
-echo "==> bench gate (no key declared higher/lower regressed >20% vs HEAD's points)"
-cargo run --release -q -p alba-bench --bin bench_gate
+echo "==> benches: 8 alternating passes, $PARENT vs HEAD, judged by bench_gate"
+scripts/bench_pairs.sh "$PARENT" benches 8
 
 echo "CI green."
