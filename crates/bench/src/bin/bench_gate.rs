@@ -41,12 +41,14 @@ fn perfbench_decls(trace: bool) -> Vec<Decl> {
     metrics.expect("a metric list").iter().map(decl).collect()
 }
 
-/// Every `Higher`/`Lower` key either side reports, change first.
+/// Every key either side reports as `Higher`/`Lower`, as the change
+/// declares it where the change reports it (a key the change made `Info`
+/// is not judged).
 fn report_decls(passes: &[[Pass; 2]]) -> Vec<Decl> {
     let mut seen = BTreeSet::new();
     let sides = passes.iter().map(|p| &p[1]).chain(passes.iter().map(|p| &p[0]));
     let metrics = sides.flat_map(|p| &p.reports).flat_map(|r| &r.metrics);
-    let judged = metrics.filter(|m| m.better != Better::Info && seen.insert(m.key.clone()));
+    let judged = metrics.filter(|m| seen.insert(m.key.clone()) && m.better != Better::Info);
     judged.map(|m| (m.key.clone(), m.better, GATE_TOL_PCT / 100.0)).collect()
 }
 
