@@ -58,7 +58,7 @@ fn bench_gateway() -> GatewayRun {
     cfg.max_retrains = 0;
     let mut svc = FleetService::new(cfg);
 
-    let obs = Obs::with_clock(Arc::new(TickClock::new()));
+    let obs = Obs::with_clock(Arc::new(TickClock::new()), None);
     let (listener, dialer) = MemListener::new(1 << 20);
     let gateway = Gateway::with_obs(
         GatewayConfig::new(vec![TenantConfig::new("volta", "tok")]),

@@ -12,12 +12,14 @@
 //!   300 features clustered on 18 of the 34 metrics, so the plan skips
 //!   roughly half the catalog. The zero-copy path must be at least 2x
 //!   the materialised one.
-//! * `serve` — a full `FleetService` replay at 1/2/4/8 pool workers,
+//! * `serve` — a `FleetService` built once per pool worker count
+//!   (1/2/4/8), then replayed [`REPLAYS`] times from clones, the worker
+//!   counts interleaved; each count reports the median of its replays'
 //!   node-metric readings per wall second (on a 1–2 core host, worker
 //!   counts beyond the core count measure barrier overhead, not
 //!   parallel speedup).
 //! * `merge barrier` — `par_epoch_ns` (dispatch → last shard joined)
-//!   from a wall-clock `Obs` over the 4-worker run: its exact mean
+//!   from a wall-clock `Obs` over every 4-worker replay: its exact mean
 //!   (gated), and its p50/p99, which are histogram bucket bounds 1.5–2×
 //!   apart and so only recorded.
 //!
@@ -28,7 +30,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use alba_bench::{Better, Op, Report};
+use alba_bench::{Better, Op, Report, Spread};
 use alba_data::{Matrix, MetricDef, MetricKind, MultiSeries};
 use alba_features::{FeatureExtractor, FeatureView, MinMaxScaler, Mvts, PreprocessConfig};
 use alba_obs::Obs;
@@ -150,44 +152,47 @@ fn bench_extract(reps: usize) -> ExtractRun {
     }
 }
 
-struct ServeRun {
-    node_metrics_per_sec: f64,
-    epoch_mean_ns: f64,
-    epoch_p50_ns: u64,
-    epoch_p99_ns: u64,
-}
+/// Timed replays per worker count; each count reports their median.
+const REPLAYS: usize = 5;
 
-/// One full replay at `workers` pool workers against a wall clock.
-fn bench_serve(workers: usize) -> ServeRun {
+/// The 120-tick replay at `workers` pool workers, observed by a
+/// wall-clock `Obs` that its clones share.
+fn serve_bench(workers: usize) -> FleetService {
     let mut cfg = ServeConfig::new(System::Volta, Scale::Smoke, 16, 42);
     cfg.fleet.duration_override_s = Some(120);
     cfg.monitor = MonitorConfig { window: 60, stride: 10, confirm: 2, min_confidence: 0.5 };
     cfg.max_retrains = 0; // pure ingest + diagnosis in the measured region
     cfg.n_workers = workers;
-    let obs = Obs::wall();
-    let mut svc = FleetService::with_obs(cfg, obs.clone());
-    let readings_per_sample =
-        svc.fleet_batches().first().and_then(|b| b.first()).map_or(0, |s| s.values.len());
+    FleetService::with_obs(cfg, Obs::wall())
+}
 
+/// Node-metric readings per wall second over one full replay of a
+/// clone of `svc` (cloned off the clock).
+fn replay(svc: &FleetService, readings_per_sample: usize) -> f64 {
+    let mut svc = svc.clone();
     let t = Instant::now();
     let stats = svc.run_to_completion();
     let elapsed = t.elapsed().as_secs_f64().max(1e-9);
     assert!(stats.windows > 0, "bench replay must diagnose windows");
-
-    let epochs = obs.histogram("par_epoch_ns", &[]).snapshot();
-    ServeRun {
-        node_metrics_per_sec: stats.samples_emitted as f64 * readings_per_sample as f64 / elapsed,
-        epoch_mean_ns: epochs.as_ref().map_or(0.0, |h| h.mean()),
-        epoch_p50_ns: epochs.as_ref().and_then(|h| h.quantile(0.50)).unwrap_or(0),
-        epoch_p99_ns: epochs.as_ref().and_then(|h| h.quantile(0.99)).unwrap_or(0),
-    }
+    stats.samples_emitted as f64 * readings_per_sample as f64 / elapsed
 }
 
 fn main() {
     let extract = bench_extract(2_000);
     let workers = [1, 2, 4, 8];
-    let runs: Vec<ServeRun> = workers.into_iter().map(bench_serve).collect();
-    let barrier = &runs[2]; // the 4-worker run
+    let services: Vec<FleetService> = workers.into_iter().map(serve_bench).collect();
+    let batches = services[0].fleet_batches();
+    let readings = batches.first().and_then(|b| b.first()).map_or(0, |s| s.values.len());
+    let mut rates = vec![Vec::with_capacity(REPLAYS); services.len()];
+    for _ in 0..REPLAYS {
+        for (svc, rates) in services.iter().zip(&mut rates) {
+            rates.push(replay(svc, readings));
+        }
+    }
+    // Every epoch of the 4-worker replays.
+    let epochs = services[2].obs().histogram("par_epoch_ns", &[]).snapshot();
+    let epoch_mean = epochs.as_ref().map_or(0.0, |h| h.mean());
+    let epoch_quantile = |q| epochs.as_ref().and_then(|h| h.quantile(q)).unwrap_or(0) as f64;
 
     let mut report = Report::new("parallel_throughput");
     report
@@ -204,14 +209,14 @@ fn main() {
             Better::Higher,
         )
         .metric("extract_zero_copy_speedup", extract.speedup, "x", Better::Info);
-    for (w, run) in workers.iter().zip(&runs) {
+    for (w, rates) in workers.iter().zip(&rates) {
         let key = format!("serve_node_metrics_per_s_w{w}");
-        report.metric(&key, run.node_metrics_per_sec, "node-metrics/s", Better::Higher);
+        report.metric(&key, Spread::of(rates).median, "node-metrics/s", Better::Higher);
     }
     report
-        .metric("merge_barrier_mean_ns", barrier.epoch_mean_ns, "ns", Better::Lower)
-        .metric("merge_barrier_p50_ns", barrier.epoch_p50_ns as f64, "ns", Better::Info)
-        .metric("merge_barrier_p99_ns", barrier.epoch_p99_ns as f64, "ns", Better::Info)
+        .metric("merge_barrier_mean_ns", epoch_mean, "ns", Better::Lower)
+        .metric("merge_barrier_p50_ns", epoch_quantile(0.50), "ns", Better::Info)
+        .metric("merge_barrier_p99_ns", epoch_quantile(0.99), "ns", Better::Info)
         .require("extract_rows_per_s_materialized", Op::Above, 0.0)
         .require("extract_rows_per_s_zero_copy", Op::Above, 0.0)
         .require("serve_node_metrics_per_s_w1", Op::Above, 0.0)

@@ -54,9 +54,7 @@ struct RunResult {
 /// sink + flight rings) rides along.
 fn run_once(traced: bool) -> RunResult {
     let tracer = if traced {
-        let t = Tracer::new(42, Arc::new(TickClock::new()), Tracer::DEFAULT_RING);
-        t.set_sink(Arc::new(MemorySink::new()));
-        t
+        Tracer::new(42, Arc::new(TickClock::new()), Some(Arc::new(MemorySink::new())), None)
     } else {
         Tracer::disabled()
     };

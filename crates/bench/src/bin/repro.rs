@@ -166,10 +166,10 @@ fn run_chaos_drill(args: &Args) {
 
     // A tick clock (not wall time) stamps events, so equal seeds yield
     // byte-identical logs.
-    let obs = Obs::with_clock(Arc::new(TickClock::new()));
     std::fs::create_dir_all(&args.out).expect("create output directory");
     let events_path = args.out.join(format!("chaos_events_{}.jsonl", args.seed));
-    obs.set_sink(Arc::new(FileSink::create(&events_path).expect("create event log")));
+    let sink = Arc::new(FileSink::create(&events_path).expect("create event log"));
+    let obs = Obs::with_clock(Arc::new(TickClock::new()), Some(sink));
 
     let mut svc = match &args.chaos_plan {
         Some(path) => {
@@ -327,15 +327,13 @@ fn run_grid_file(args: &Args, file: &Path) {
     alba_obs::set_global(obs.clone());
     // Cells hop on shard lanes, the merge on the service lane; a tick
     // clock keeps the trace log byte-identical across equal runs.
-    let tracer =
-        Arc::new(alba_trace::Tracer::new(args.seed, Arc::new(alba_obs::TickClock::new()), 256));
     std::fs::create_dir_all(&args.out).expect("create output directory");
     let trace_path = args.out.join(format!("grid_{}_trace.jsonl", spec.name));
-    tracer.set_sink(Arc::new(
-        alba_obs::FileSink::create(&trace_path).expect("create grid trace log"),
-    ));
+    let sink = Arc::new(alba_obs::FileSink::create(&trace_path).expect("create grid trace log"));
+    let tracer =
+        alba_trace::Tracer::new(args.seed, Arc::new(alba_obs::TickClock::new()), Some(sink), None);
 
-    let outcome = run_grid_spec(&spec, args, &obs, (*tracer).clone());
+    let outcome = run_grid_spec(&spec, args, &obs, tracer);
     println!("[saved {}]", trace_path.display());
     println!("\n== leaderboard ==\n{}", outcome.leaderboard_md);
     if let Some(dir) = &args.store {

@@ -30,9 +30,8 @@ fn test_config(seed: u64) -> ServeConfig {
 }
 
 fn observed_service(seed: u64) -> (FleetService, Arc<MemorySink>) {
-    let obs = Obs::with_clock(Arc::new(TickClock::new()));
     let sink = Arc::new(MemorySink::new());
-    obs.set_sink(sink.clone());
+    let obs = Obs::with_clock(Arc::new(TickClock::new()), Some(sink.clone()));
     (FleetService::with_obs(test_config(seed), obs), sink)
 }
 

@@ -36,9 +36,8 @@ struct TracedRun {
 /// One live session: a traced gateway + traced service in lockstep,
 /// the wire client riding through a deterministic reconnect storm.
 fn traced_run(seed: u64) -> TracedRun {
-    let tracer = Tracer::new(seed, Arc::new(TickClock::new()), Tracer::DEFAULT_RING);
     let sink = Arc::new(MemorySink::new());
-    tracer.set_sink(sink.clone());
+    let tracer = Tracer::new(seed, Arc::new(TickClock::new()), Some(sink.clone()), None);
 
     let mut svc = FleetService::with_tracer(test_config(seed), Obs::disabled(), tracer.clone());
     let batches = svc.fleet_batches();

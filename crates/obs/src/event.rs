@@ -103,8 +103,9 @@ impl Value {
 
 /// Appends `v` in decimal — the same bytes as `write!(out, "{v}")`
 /// without the `core::fmt` machinery. Rendered on every event field
-/// and trace hop, which is why it is hand-rolled. Pushes chars (always
-/// ASCII digits), so the path is infallible by construction.
+/// and trace hop, which is why it is hand-rolled: the digits fill a
+/// stack buffer that lands in one `push_str`.
+#[inline]
 pub fn push_u64(out: &mut String, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
@@ -116,13 +117,26 @@ pub fn push_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
-    for &b in &buf[i..] {
-        out.push(b as char);
+    // The buffer holds ASCII digits only, so the conversion cannot fail.
+    if let Ok(digits) = std::str::from_utf8(&buf[i..]) {
+        out.push_str(digits);
     }
 }
 
-/// Appends `s` to `out` with JSON string escaping applied.
+/// Appends `s` to `out` with JSON string escaping applied. Strings
+/// with nothing to escape (every identifier and label this workspace
+/// renders) are copied in one `push_str`.
+#[inline]
 pub fn json_escape(s: &str, out: &mut String) {
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        escape_chars(s, out);
+    } else {
+        out.push_str(s);
+    }
+}
+
+/// The escaping loop behind [`json_escape`], one char at a time.
+fn escape_chars(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -138,6 +152,17 @@ pub fn json_escape(s: &str, out: &mut String) {
     }
 }
 
+/// Appends `fields` as `,"key":value` pairs — the tail every event
+/// line and trace hop shares.
+pub fn push_fields(out: &mut String, fields: &[(&str, Value)]) {
+    for (k, v) in fields {
+        out.push_str(",\"");
+        json_escape(k, out);
+        out.push_str("\":");
+        v.render_into(out);
+    }
+}
+
 /// Renders one event as a JSON line (no trailing newline).
 pub(crate) fn render_event(ts: u64, kind: &str, fields: &[(&str, Value)]) -> String {
     let mut line = String::with_capacity(64);
@@ -146,12 +171,7 @@ pub(crate) fn render_event(ts: u64, kind: &str, fields: &[(&str, Value)]) -> Str
     line.push_str(",\"kind\":\"");
     json_escape(kind, &mut line);
     line.push('"');
-    for (k, v) in fields {
-        line.push_str(",\"");
-        json_escape(k, &mut line);
-        line.push_str("\":");
-        v.render_into(&mut line);
-    }
+    push_fields(&mut line, fields);
     line.push('}');
     line
 }
@@ -252,6 +272,20 @@ mod tests {
             &[("s", Value::from("a\"b\\c\nd\u{1}")), ("nan", Value::from(f64::NAN))],
         );
         assert_eq!(line, r#"{"ts":0,"kind":"x","s":"a\"b\\c\nd\u0001","nan":null}"#);
+    }
+
+    #[test]
+    fn escape_fast_path_matches_the_char_loop() {
+        let cases = ["", "plain_ascii-42", "\"", "\\", "\n\r\t", "\u{1}", "\u{1f}", "naïve → ✓"];
+        for s in cases {
+            let (mut fast, mut slow) = (String::new(), String::new());
+            json_escape(s, &mut fast);
+            escape_chars(s, &mut slow);
+            assert_eq!(fast, slow, "{s:?}");
+        }
+        let mut out = String::new();
+        json_escape("a\"b\\c\n\r\t\u{1}\u{1f}é", &mut out);
+        assert_eq!(out, r#"a\"b\\c\n\r\t\u0001\u001fé"#);
     }
 
     #[test]

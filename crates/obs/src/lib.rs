@@ -40,9 +40,8 @@
 //! use std::sync::Arc;
 //!
 //! let clock = Arc::new(TickClock::new());
-//! let obs = Obs::with_clock(clock.clone());
 //! let sink = Arc::new(MemorySink::new());
-//! obs.set_sink(sink.clone());
+//! let obs = Obs::with_clock(clock.clone(), Some(sink.clone()));
 //!
 //! obs.counter("windows_total", &[("shard", "0")]).inc();
 //! clock.set(1_000);
@@ -65,7 +64,7 @@ pub mod histogram;
 pub mod registry;
 
 pub use clock::{Clock, TickClock, WallClock};
-pub use event::{json_escape, push_u64, EventSink, FileSink, MemorySink, Value};
+pub use event::{json_escape, push_fields, push_u64, EventSink, FileSink, MemorySink, Value};
 pub use global::{clear_global, global, set_global};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Hist, HistogramRow, Obs, Span};

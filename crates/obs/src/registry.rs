@@ -50,7 +50,7 @@ struct Inner {
     counters: Mutex<BTreeMap<MetricId, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<MetricId, Arc<AtomicI64>>>,
     hists: Mutex<BTreeMap<MetricId, Arc<Mutex<Histogram>>>>,
-    sink: Mutex<Option<Arc<dyn EventSink>>>,
+    sink: Option<Arc<dyn EventSink>>,
     events: AtomicU64,
 }
 
@@ -73,15 +73,16 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// An enabled registry timed by the given clock.
-    pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
+    /// An enabled registry timed by the given clock, rendering events
+    /// into `sink` (without one, events are only counted).
+    pub fn with_clock(clock: Arc<dyn Clock>, sink: Option<Arc<dyn EventSink>>) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
                 clock,
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 hists: Mutex::new(BTreeMap::new()),
-                sink: Mutex::new(None),
+                sink,
                 events: AtomicU64::new(0),
             })),
         }
@@ -89,7 +90,7 @@ impl Obs {
 
     /// An enabled registry timed by a fresh [`WallClock`].
     pub fn wall() -> Self {
-        Self::with_clock(Arc::new(WallClock::new()))
+        Self::with_clock(Arc::new(WallClock::new()), None)
     }
 
     /// A no-op handle: every operation does nothing and costs (almost)
@@ -106,13 +107,6 @@ impl Obs {
     /// Current time on the registry clock (0 when disabled).
     pub fn now_ns(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.clock.now_ns())
-    }
-
-    /// Attaches (or replaces) the JSONL event sink.
-    pub fn set_sink(&self, sink: Arc<dyn EventSink>) {
-        if let Some(i) = &self.inner {
-            *i.sink.lock().unwrap_or_else(|e| e.into_inner()) = Some(sink);
-        }
     }
 
     /// The named counter (created on first use). Cache the returned
@@ -157,8 +151,7 @@ impl Obs {
     pub fn event(&self, kind: &str, fields: &[(&str, Value)]) {
         let Some(i) = &self.inner else { return };
         i.events.fetch_add(1, Ordering::Relaxed);
-        let sink = i.sink.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        if let Some(sink) = sink {
+        if let Some(sink) = &i.sink {
             sink.emit(&render_event(i.clock.now_ns(), kind, fields));
         }
     }
@@ -364,7 +357,7 @@ mod tests {
     #[test]
     fn spans_record_tick_clock_durations() {
         let clock = Arc::new(TickClock::new());
-        let obs = Obs::with_clock(clock.clone());
+        let obs = Obs::with_clock(clock.clone(), None);
         {
             let _s = obs.span("stage_ns", &[("stage", "extract")]);
             clock.advance(120);
@@ -383,9 +376,8 @@ mod tests {
     #[test]
     fn events_flow_to_the_sink_with_clock_time() {
         let clock = Arc::new(TickClock::new());
-        let obs = Obs::with_clock(clock.clone());
         let sink = Arc::new(MemorySink::new());
-        obs.set_sink(sink.clone());
+        let obs = Obs::with_clock(clock.clone(), Some(sink.clone()));
         clock.set(42);
         obs.event("swap", &[("round", Value::from(1u64))]);
         assert_eq!(sink.lines(), vec![r#"{"ts":42,"kind":"swap","round":1}"#]);

@@ -244,6 +244,8 @@ impl IngestLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alba_obs::{MemorySink, TickClock};
+    use std::sync::Arc;
 
     fn sample(node: usize, at: usize) -> TelemetrySample {
         TelemetrySample { node, at, values: vec![at as f64] }
@@ -320,9 +322,8 @@ mod tests {
 
     #[test]
     fn drops_emit_structured_obs_events() {
-        let obs = alba_obs::Obs::wall();
-        let sink = std::sync::Arc::new(alba_obs::MemorySink::new());
-        obs.set_sink(sink.clone());
+        let sink = Arc::new(MemorySink::new());
+        let obs = Obs::with_clock(Arc::new(TickClock::new()), Some(sink.clone()));
         let mut layer = IngestLayer::with_obs(2, 2, obs.clone());
         for t in 0..4 {
             layer.offer(sample(1, t));
@@ -352,9 +353,8 @@ mod tests {
 
     #[test]
     fn malformed_and_queue_full_drops_are_distinct_buckets() {
-        let obs = alba_obs::Obs::wall();
-        let sink = std::sync::Arc::new(alba_obs::MemorySink::new());
-        obs.set_sink(sink.clone());
+        let sink = Arc::new(MemorySink::new());
+        let obs = Obs::with_clock(Arc::new(TickClock::new()), Some(sink.clone()));
         let mut layer = IngestLayer::with_obs(1, 2, obs.clone()).expect_width(3);
         let wide = TelemetrySample { node: 0, at: 0, values: vec![1.0; 4] };
         let narrow = TelemetrySample { node: 0, at: 1, values: vec![1.0] };

@@ -610,7 +610,13 @@ impl FleetService {
     /// the chain is causal across the wire without carrying an id in it.
     /// (Associated fn over disjoint fields: callers hold `&mut
     /// self.chaos` while tracing.)
-    fn trace_ingest(tracer: &Tracer, shard_of: &[usize], node: usize, at: usize, outcome: &str) {
+    fn trace_ingest(
+        tracer: &Tracer,
+        shard_of: &[usize],
+        node: usize,
+        at: usize,
+        outcome: &'static str,
+    ) {
         if !tracer.is_enabled() {
             return;
         }
@@ -619,7 +625,7 @@ impl FleetService {
             lane,
             &tracer.ctx(node, at),
             "ingest_offer",
-            &[("outcome", Value::Str(outcome.to_string()))],
+            &[("outcome", Value::from(outcome))],
         );
     }
 

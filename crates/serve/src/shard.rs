@@ -3,14 +3,14 @@
 //!
 //! The per-node [`NodeMonitor`] hooks (`push` / `window_row_into` /
 //! `apply_diagnosis`) let a shard buffer samples node-by-node but run
-//! feature scaling and model inference once per batch of windows — the
-//! amortisation the `serve_throughput` benchmark measures against the
-//! node-at-a-time baseline (`batched = false`). Shards are `Send`, so
-//! the service moves them onto its `alba-par` worker pool every tick;
-//! each shard's report is assembled in deterministic node order
-//! regardless of which thread ran it. Parallelism lives at that one
-//! level: extraction and forest inference inside a shard run in the
-//! worker's own thread and spawn nothing.
+//! feature scaling and model inference once per batch of windows
+//! (`batched = false` runs one node at a time instead; perfbench's
+//! traced `ml.predict_rows_per_call` shows the batch size). Shards are
+//! `Send`, so the service moves them onto its `alba-par` worker pool
+//! every tick; each shard's report is assembled in deterministic node
+//! order regardless of which thread ran it. Parallelism lives at that
+//! one level: extraction and forest inference inside a shard run in
+//! the worker's own thread and spawn nothing.
 //!
 //! A shard builds one template monitor and clones it for every node, so
 //! its monitors share one pipeline (extractor, view, plan, read list,

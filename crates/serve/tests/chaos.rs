@@ -47,9 +47,8 @@ fn chaotic_run(
     plan: FaultPlan,
     store_dir: Option<&PathBuf>,
 ) -> (Vec<String>, ServiceStats) {
-    let obs = Obs::with_clock(Arc::new(TickClock::new()));
     let sink = Arc::new(MemorySink::new());
-    obs.set_sink(sink.clone());
+    let obs = Obs::with_clock(Arc::new(TickClock::new()), Some(sink.clone()));
     let mut cfg = test_config(seed);
     cfg.store_dir = store_dir.map(|d| d.display().to_string());
     let mut svc = FleetService::with_chaos_plan(cfg, plan, obs);
@@ -144,9 +143,8 @@ fn store_faults_heal_and_the_journal_stays_replayable() {
         event(FaultKind::StoreWriteError, 2, 1, 0),
         event(FaultKind::FsyncFailure, 3, 1, 0),
     ]);
-    let obs = Obs::with_clock(Arc::new(TickClock::new()));
     let sink = Arc::new(MemorySink::new());
-    obs.set_sink(sink.clone());
+    let obs = Obs::with_clock(Arc::new(TickClock::new()), Some(sink.clone()));
     let chaotic_cfg = {
         let mut c = test_config(42);
         c.store_dir = Some(dir.display().to_string());

@@ -23,9 +23,8 @@ fn test_config(seed: u64) -> ServeConfig {
 /// Runs one observed service to completion, returning its event log.
 fn observed_run(seed: u64) -> Vec<String> {
     let clock = Arc::new(TickClock::new());
-    let obs = Obs::with_clock(clock);
     let sink = Arc::new(MemorySink::new());
-    obs.set_sink(sink.clone());
+    let obs = Obs::with_clock(clock, Some(sink.clone()));
     FleetService::with_obs(test_config(seed), obs).run_to_completion();
     sink.lines()
 }
@@ -62,7 +61,7 @@ fn event_logs_are_identical_across_equal_seeds() {
 fn exposition_is_identical_across_equal_seeds() {
     let expose = |seed| {
         let clock = Arc::new(TickClock::new());
-        let obs = Obs::with_clock(clock);
+        let obs = Obs::with_clock(clock, None);
         FleetService::with_obs(test_config(seed), obs.clone()).run_to_completion();
         obs.expose()
     };

@@ -57,12 +57,10 @@ fn strip_worker_counters(exposition: &str) -> String {
 /// One fully observed + traced run at the given worker count.
 fn observed_run(seed: u64, workers: usize) -> RunArtifacts {
     let clock = Arc::new(TickClock::new());
-    let obs = Obs::with_clock(clock.clone());
     let sink = Arc::new(MemorySink::new());
-    obs.set_sink(sink.clone());
-    let tracer = Tracer::new(seed, clock, Tracer::DEFAULT_RING);
+    let obs = Obs::with_clock(clock.clone(), Some(sink.clone()));
     let trace_sink = Arc::new(MemorySink::new());
-    tracer.set_sink(trace_sink.clone());
+    let tracer = Tracer::new(seed, clock, Some(trace_sink.clone()), None);
 
     let mut svc = FleetService::with_tracer(test_config(seed, workers), obs.clone(), tracer);
     svc.run_to_completion();
@@ -113,9 +111,8 @@ fn event(kind: FaultKind, tick: usize, duration: usize, target: usize) -> FaultE
 
 /// One observed chaotic run (explicit plan) at the given worker count.
 fn chaotic_run(seed: u64, workers: usize, plan: FaultPlan) -> (RunArtifacts, u64) {
-    let obs = Obs::with_clock(Arc::new(TickClock::new()));
     let sink = Arc::new(MemorySink::new());
-    obs.set_sink(sink.clone());
+    let obs = Obs::with_clock(Arc::new(TickClock::new()), Some(sink.clone()));
     let mut svc = FleetService::with_chaos_plan(test_config(seed, workers), plan, obs.clone());
     let stats = svc.run_to_completion();
     let restarts = stats.chaos.as_ref().map_or(0, |c| c.shard_restarts);

@@ -29,9 +29,8 @@ fn tmpdir(name: &str) -> PathBuf {
 /// the obs registry (for counter assertions).
 fn observed_run(seed: u64, store_dir: Option<&PathBuf>) -> (Vec<String>, Obs) {
     let clock = Arc::new(TickClock::new());
-    let obs = Obs::with_clock(clock);
     let sink = Arc::new(MemorySink::new());
-    obs.set_sink(sink.clone());
+    let obs = Obs::with_clock(clock, Some(sink.clone()));
     let mut cfg = test_config(seed);
     cfg.store_dir = store_dir.map(|d| d.display().to_string());
     FleetService::with_obs(cfg, obs.clone()).run_to_completion();

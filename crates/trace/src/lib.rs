@@ -12,9 +12,10 @@
 //!   equal seeds yield byte-identical trace logs,
 //! * [`tracer`] — the cloneable [`Tracer`] handle: renders per-hop
 //!   JSONL records (stage, lane, timings from the injectable
-//!   `alba-obs` [`Clock`](alba_obs::Clock)) into a pluggable sink,
+//!   `alba-obs` [`Clock`](alba_obs::Clock)) into the sink it was built
+//!   with,
 //! * [`recorder`] — the always-on bounded **flight recorder**: one
-//!   fixed-size [`FlightRing`] of recent trace events per lane with
+//!   fixed-size ring of the 256 most recent trace events per lane with
 //!   deterministic oldest-first eviction, dumped to
 //!   `flightrec_*.jsonl` on shard panic, chaos fault firing, or
 //!   shutdown.
@@ -36,5 +37,5 @@ pub mod recorder;
 pub mod tracer;
 
 pub use ctx::{trace_id, TraceCtx};
-pub use recorder::{FlightRing, Lane, RingEntry};
+pub use recorder::Lane;
 pub use tracer::Tracer;

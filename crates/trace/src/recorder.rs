@@ -17,13 +17,6 @@ pub enum Lane {
 }
 
 impl Lane {
-    /// Stable lane label used in rendered trace lines.
-    pub fn label(&self) -> String {
-        let mut s = String::new();
-        self.write_label(&mut s);
-        s
-    }
-
     /// Appends the label to `out` without an intermediate allocation —
     /// the hop hot path renders straight into the line buffer. Labels
     /// are plain ASCII identifiers, so no JSON escaping is needed.
@@ -32,45 +25,41 @@ impl Lane {
             Lane::Net => out.push_str("net"),
             Lane::Shard(i) => {
                 out.push_str("shard");
-                push_u64(out, u64::from(*i));
+                alba_obs::push_u64(out, u64::from(*i));
             }
             Lane::Service => out.push_str("service"),
         }
     }
 }
 
-/// Fast decimal formatter shared with the event renderer — same bytes
-/// as `write!(out, "{v}")`, none of the `core::fmt` machinery. The hop
-/// renderer formats three to four integers per line; at fleet hop
-/// rates the formatter is the measurable part of the tracing tax.
-pub(crate) use alba_obs::push_u64;
-
 /// Appends `v` as 16 lowercase hex digits — same bytes as
-/// `write!(out, "{v:016x}")`. Pushes chars (always ASCII), so the path
-/// is infallible by construction.
+/// `write!(out, "{v:016x}")`, filled into a stack buffer that lands in
+/// one `push_str`.
 pub(crate) fn push_hex16(out: &mut String, v: u64) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    for i in 0..16 {
-        // alba-lint: allow(reachable-panic) reason="index is masked to 0..16"
-        out.push(HEX[((v >> (60 - 4 * i)) & 0xf) as usize] as char);
+    // alba-lint: allow(reachable-panic) reason="index is masked to 0..16"
+    let buf: [u8; 16] = std::array::from_fn(|i| HEX[((v >> (60 - 4 * i)) & 0xf) as usize]);
+    // The buffer holds ASCII hex digits only, so the conversion cannot fail.
+    if let Ok(digits) = std::str::from_utf8(&buf) {
+        out.push_str(digits);
     }
 }
 
 /// One recorded trace event: the source node (for `/trace/<node>`
 /// filtering) plus the pre-rendered JSONL line.
 #[derive(Clone, Debug)]
-pub struct RingEntry {
+pub(crate) struct RingEntry {
     /// Source node of the hop, `None` for fleet-wide hops.
-    pub node: Option<usize>,
+    pub(crate) node: Option<usize>,
     /// The rendered JSON object, no trailing newline.
-    pub line: String,
+    pub(crate) line: String,
 }
 
 /// Fixed-capacity ring of recent trace events. Eviction is
 /// deterministic: once full, each push overwrites the single oldest
 /// entry — no timers, no sampling, no randomness.
 #[derive(Clone, Debug)]
-pub struct FlightRing {
+pub(crate) struct FlightRing {
     cap: usize,
     buf: Vec<RingEntry>,
     /// Index of the oldest entry once the ring is full.
@@ -80,12 +69,12 @@ pub struct FlightRing {
 
 impl FlightRing {
     /// An empty ring holding at most `cap` entries (min 1).
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         Self { cap: cap.max(1), buf: Vec::new(), head: 0, evicted: 0 }
     }
 
     /// Records one entry, evicting the oldest when full.
-    pub fn push(&mut self, entry: RingEntry) {
+    pub(crate) fn push(&mut self, entry: RingEntry) {
         if self.buf.len() < self.cap {
             self.buf.push(entry);
         } else {
@@ -101,7 +90,7 @@ impl FlightRing {
     /// ring is still filling. Pairing each call with one `push` makes
     /// a full ring allocation-free in steady state — which is what
     /// keeps the always-on recorder within the tracing overhead bound.
-    pub fn recycle_buffer(&mut self) -> String {
+    pub(crate) fn recycle_buffer(&mut self) -> String {
         if self.buf.len() < self.cap {
             String::with_capacity(192)
         } else {
@@ -113,22 +102,17 @@ impl FlightRing {
     }
 
     /// Entries currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Entries evicted so far (how much history the ring has forgotten).
-    pub fn evicted(&self) -> u64 {
+    pub(crate) fn evicted(&self) -> u64 {
         self.evicted
     }
 
     /// Iterates the retained entries oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &RingEntry> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &RingEntry> {
         self.buf[self.head..].iter().chain(self.buf[..self.head].iter())
     }
 }
@@ -169,7 +153,7 @@ mod tests {
         use std::fmt::Write as _;
         for v in [0u64, 1, 9, 10, 42, 999, 1_000, u64::MAX / 2, u64::MAX] {
             let (mut fast, mut slow) = (String::new(), String::new());
-            push_u64(&mut fast, v);
+            alba_obs::push_u64(&mut fast, v);
             let _ = write!(slow, "{v}");
             assert_eq!(fast, slow, "decimal {v}");
             let (mut fast, mut slow) = (String::new(), String::new());
@@ -198,6 +182,5 @@ mod tests {
         let mut lanes = vec![Lane::Service, Lane::Shard(2), Lane::Net, Lane::Shard(0)];
         lanes.sort();
         assert_eq!(lanes, vec![Lane::Net, Lane::Shard(0), Lane::Shard(2), Lane::Service]);
-        assert_eq!(Lane::Shard(3).label(), "shard3");
     }
 }

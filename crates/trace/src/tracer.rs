@@ -3,23 +3,24 @@
 //! demand (shard panic, chaos fault, shutdown).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use alba_obs::{json_escape, Clock, EventSink, Value};
+use alba_obs::{json_escape, push_fields, push_u64, Clock, EventSink, Value};
 
 use crate::ctx::TraceCtx;
-use crate::recorder::{push_hex16, push_u64, FlightRing, Lane, RingEntry};
+use crate::recorder::{push_hex16, FlightRing, Lane, RingEntry};
+
+/// Flight-recorder events kept per lane.
+const RING_CAPACITY: usize = 256;
 
 struct Inner {
     seed: u64,
     clock: Arc<dyn Clock>,
-    ring_capacity: usize,
-    sink: Mutex<Option<Arc<dyn EventSink>>>,
+    sink: Option<Arc<dyn EventSink>>,
     rings: Mutex<BTreeMap<Lane, FlightRing>>,
-    dump_dir: Mutex<Option<PathBuf>>,
+    dump_dir: Option<PathBuf>,
     hops: AtomicU64,
     dumps: AtomicU64,
     dump_failures: AtomicU64,
@@ -27,8 +28,9 @@ struct Inner {
 
 /// Cloneable causal-tracing handle. A disabled tracer
 /// ([`Tracer::disabled`]) turns every operation into a no-op, so
-/// traced hot paths cost (almost) nothing when tracing is off — the
-/// `trace_overhead` bench holds the enabled path within a few percent.
+/// traced hot paths cost (almost) nothing when tracing is off. The
+/// enabled path costs about a tenth of a pipeline window; the
+/// `trace_overhead` bench holds it to at most 10%.
 ///
 /// ## Determinism contract
 ///
@@ -42,25 +44,30 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Default flight-recorder ring capacity per lane.
-    pub const DEFAULT_RING: usize = 256;
-
     /// A tracer whose every operation is a no-op.
     pub fn disabled() -> Self {
         Self { inner: None }
     }
 
-    /// An enabled tracer deriving trace ids from `seed`, stamping hops
-    /// from `clock`, holding `ring_capacity` recent events per lane.
-    pub fn new(seed: u64, clock: Arc<dyn Clock>, ring_capacity: usize) -> Self {
+    /// An enabled tracer deriving trace ids from `seed` and stamping
+    /// hops from `clock`. Every hop line goes to `sink` (the JSONL
+    /// trace log, if any) and into its lane's flight ring of the 256
+    /// most recent events. [`Tracer::dump`] writes
+    /// `flightrec_<reason>.jsonl` into `dump_dir`; without one, the
+    /// recorder is only read through [`Tracer::flightrec`].
+    pub fn new(
+        seed: u64,
+        clock: Arc<dyn Clock>,
+        sink: Option<Arc<dyn EventSink>>,
+        dump_dir: Option<PathBuf>,
+    ) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
                 seed,
                 clock,
-                ring_capacity: ring_capacity.max(1),
-                sink: Mutex::new(None),
+                sink,
                 rings: Mutex::new(BTreeMap::new()),
-                dump_dir: Mutex::new(None),
+                dump_dir,
                 hops: AtomicU64::new(0),
                 dumps: AtomicU64::new(0),
                 dump_failures: AtomicU64::new(0),
@@ -74,30 +81,13 @@ impl Tracer {
     }
 
     /// The seed trace ids derive from (0 when disabled).
-    pub fn seed(&self) -> u64 {
+    fn seed(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.seed)
     }
 
     /// Current clock reading in nanoseconds (0 when disabled).
     pub fn now_ns(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.clock.now_ns())
-    }
-
-    /// Attaches the JSONL trace-log sink; every hop line goes both here
-    /// and into the flight recorder.
-    pub fn set_sink(&self, sink: Arc<dyn EventSink>) {
-        if let Some(inner) = &self.inner {
-            *inner.sink.lock().unwrap_or_else(PoisonError::into_inner) = Some(sink);
-        }
-    }
-
-    /// Directory flight-recorder dumps are written into
-    /// (`flightrec_<reason>.jsonl`). Unset by default: dumps are then
-    /// only available through [`Tracer::flightrec`].
-    pub fn set_dump_dir(&self, dir: impl Into<PathBuf>) {
-        if let Some(inner) = &self.inner {
-            *inner.dump_dir.lock().unwrap_or_else(PoisonError::into_inner) = Some(dir.into());
-        }
     }
 
     /// Derives the [`TraceCtx`] for `node`'s sample of source tick
@@ -118,12 +108,9 @@ impl Tracer {
     pub fn hop(&self, lane: Lane, ctx: &TraceCtx, stage: &str, fields: &[(&str, Value)]) {
         let Some(inner) = &self.inner else { return };
         // Render into the buffer of the ring entry this hop is about to
-        // evict (allocation-free once the ring is full) and with
-        // hand-rolled integer formatting — the rendered bytes are
-        // pinned against `write!` by tests, and the trace_overhead
-        // bench holds the whole path within its CI bound.
+        // evict, so a full ring renders without allocating.
         let mut rings = inner.rings.lock().unwrap_or_else(PoisonError::into_inner);
-        let ring = rings.entry(lane).or_insert_with(|| FlightRing::new(inner.ring_capacity));
+        let ring = rings.entry(lane).or_insert_with(|| FlightRing::new(RING_CAPACITY));
         let mut line = ring.recycle_buffer();
         line.push_str("{\"ts\":");
         push_u64(&mut line, inner.clock.now_ns());
@@ -141,16 +128,11 @@ impl Tracer {
         line.push_str(",\"stage\":\"");
         json_escape(stage, &mut line);
         line.push('"');
-        for (k, v) in fields {
-            line.push_str(",\"");
-            json_escape(k, &mut line);
-            line.push_str("\":");
-            v.render_into(&mut line);
-        }
+        push_fields(&mut line, fields);
         line.push('}');
 
         inner.hops.fetch_add(1, Ordering::Relaxed);
-        if let Some(sink) = &*inner.sink.lock().unwrap_or_else(PoisonError::into_inner) {
+        if let Some(sink) = &inner.sink {
             sink.emit(&line);
         }
         ring.push(RingEntry { node: ctx.node, line });
@@ -166,6 +148,11 @@ impl Tracer {
         self.inner.as_ref().map_or(0, |i| i.dumps.load(Ordering::Relaxed))
     }
 
+    /// Flight-recorder dumps whose file write failed since construction.
+    pub fn dump_failures(&self) -> u64 {
+        self.inner.as_ref().map_or(0, |i| i.dump_failures.load(Ordering::Relaxed))
+    }
+
     /// The full flight-recorder contents as JSONL: a header line
     /// (`kind=flightrec`, the dump reason, lane/event/eviction totals)
     /// followed by every retained event, lanes in deterministic order
@@ -178,15 +165,15 @@ impl Tracer {
         let evicted: u64 = rings.values().map(FlightRing::evicted).sum();
         let mut out = String::with_capacity(64 + events * 96);
         out.push_str("{\"ts\":");
-        let _ = write!(out, "{}", inner.clock.now_ns());
+        push_u64(&mut out, inner.clock.now_ns());
         out.push_str(",\"kind\":\"flightrec\",\"reason\":\"");
         json_escape(reason, &mut out);
         out.push_str("\",\"lanes\":");
-        let _ = write!(out, "{}", rings.len());
+        push_u64(&mut out, rings.len() as u64);
         out.push_str(",\"events\":");
-        let _ = write!(out, "{events}");
+        push_u64(&mut out, events as u64);
         out.push_str(",\"evicted\":");
-        let _ = write!(out, "{evicted}");
+        push_u64(&mut out, evicted);
         out.push_str("}\n");
         for ring in rings.values() {
             for e in ring.iter() {
@@ -226,7 +213,7 @@ impl Tracer {
     /// must not take the aircraft down with it).
     pub fn dump(&self, reason: &str) -> Option<PathBuf> {
         let inner = self.inner.as_ref()?;
-        let dir = inner.dump_dir.lock().unwrap_or_else(PoisonError::into_inner).as_ref()?.clone();
+        let dir = inner.dump_dir.as_ref()?;
         let safe: String = reason
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
@@ -252,9 +239,8 @@ mod tests {
 
     fn traced() -> (Tracer, Arc<MemorySink>, Arc<TickClock>) {
         let clock = Arc::new(TickClock::new());
-        let t = Tracer::new(42, clock.clone(), 4);
         let sink = Arc::new(MemorySink::new());
-        t.set_sink(sink.clone());
+        let t = Tracer::new(42, clock.clone(), Some(sink.clone()), None);
         (t, sink, clock)
     }
 
@@ -301,21 +287,24 @@ mod tests {
     #[test]
     fn flightrec_orders_lanes_and_bounds_history() {
         let (t, _sink, _clock) = traced();
-        // Ring capacity is 4: push 6 service hops so two evict.
-        for tick in 0..6 {
+        // Two service hops past the ring capacity evict the two oldest.
+        for tick in 0..RING_CAPACITY + 2 {
             t.hop(Lane::Service, &t.service_ctx(tick), "stage", &[]);
         }
         t.hop(Lane::Shard(0), &t.ctx(1, 0), "ingest", &[]);
         t.hop(Lane::Net, &t.ctx(1, 0), "decode", &[]);
         let dump = t.flightrec("test");
         let lines: Vec<&str> = dump.lines().collect();
-        assert!(lines[0].contains("\"kind\":\"flightrec\""));
-        assert!(lines[0].contains("\"reason\":\"test\""));
-        assert!(lines[0].contains("\"events\":6") && lines[0].contains("\"evicted\":2"));
+        assert_eq!(lines.len(), 1 + RING_CAPACITY + 2);
+        let header = format!("\"lanes\":3,\"events\":{},\"evicted\":2}}", RING_CAPACITY + 2);
+        assert!(lines[0].starts_with("{\"ts\":0,\"kind\":\"flightrec\",\"reason\":\"test\","));
+        assert!(lines[0].ends_with(&header), "{}", lines[0]);
         // Lane order: net, shard0, then service (oldest evicted).
         assert!(lines[1].contains("\"lane\":\"net\""));
         assert!(lines[2].contains("\"lane\":\"shard0\""));
-        assert!(lines[3].contains("\"tick\":2"), "oldest two service hops evicted");
+        assert!(lines[3].contains("\"tick\":2,"), "oldest two service hops evicted");
+        let newest = format!("\"tick\":{},", RING_CAPACITY + 1);
+        assert!(lines.last().is_some_and(|l| l.contains(&newest)));
     }
 
     #[test]
@@ -331,18 +320,21 @@ mod tests {
     }
 
     #[test]
-    fn dump_writes_file_only_when_dir_is_set() {
+    fn dumps_go_to_the_dump_dir_and_failed_writes_are_counted() {
         let (t, _sink, _clock) = traced();
-        t.hop(Lane::Net, &t.ctx(0, 0), "decode", &[]);
-        assert_eq!(t.dump("no dir yet"), None);
+        assert_eq!(t.dump("no dir"), None);
         let dir = std::env::temp_dir().join(format!("alba_trace_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        t.set_dump_dir(&dir);
+        let dumping_into = |d: PathBuf| Tracer::new(42, Arc::new(TickClock::new()), None, Some(d));
+        let t = dumping_into(dir.clone());
+        t.hop(Lane::Net, &t.ctx(0, 0), "decode", &[]);
         let path = t.dump("fault: node_blackout").expect("dump writes");
         assert!(path.ends_with("flightrec_fault__node_blackout.jsonl"));
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body, t.flightrec("fault: node_blackout"));
-        assert_eq!(t.dumps_taken(), 1);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), t.flightrec("fault: node_blackout"));
+        assert_eq!((t.dumps_taken(), t.dump_failures()), (1, 0));
+        let t = dumping_into(dir.join("missing"));
+        assert_eq!(t.dump("shutdown"), None);
+        assert_eq!((t.dumps_taken(), t.dump_failures()), (0, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 

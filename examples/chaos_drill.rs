@@ -46,15 +46,14 @@ fn main() {
     cfg.chaos = Some(ChaosConfig::default());
 
     let clock = Arc::new(TickClock::new());
-    let obs = Obs::with_clock(clock.clone());
     std::fs::create_dir_all("results").expect("create results directory");
     let events_path = std::path::Path::new("results/chaos_drill_events.jsonl");
-    obs.set_sink(Arc::new(FileSink::create(events_path).expect("create event log")));
+    let sink = Arc::new(FileSink::create(events_path).expect("create event log"));
+    let obs = Obs::with_clock(clock.clone(), Some(sink));
 
     // Flight recorder only (no JSONL sink): fault firings and shard
     // panics dump the per-lane rings into results/flightrec_*.jsonl.
-    let tracer = Tracer::new(42, clock.clone(), Tracer::DEFAULT_RING);
-    tracer.set_dump_dir("results");
+    let tracer = Tracer::new(42, clock.clone(), None, Some("results".into()));
 
     println!("training the initial model and building the 52-node fleet...");
     let mut svc = FleetService::with_tracer(cfg, obs.clone(), tracer.clone());
@@ -116,9 +115,10 @@ fn main() {
         events_path.display()
     );
     println!(
-        "flight recorder: {} hops, {} dumps -> results/flightrec_*.jsonl",
+        "flight recorder: {} hops, {} dumps ({} failed) -> results/flightrec_*.jsonl",
         tracer.hops_recorded(),
-        tracer.dumps_taken()
+        tracer.dumps_taken(),
+        tracer.dump_failures()
     );
 
     // The acceptance bar: faults were injected at multiple layers, the

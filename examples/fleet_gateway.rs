@@ -63,9 +63,8 @@ fn config(seed: u64) -> ServeConfig {
 }
 
 fn observed_service(seed: u64, tracer: Tracer) -> (FleetService, Arc<MemorySink>) {
-    let obs = Obs::with_clock(Arc::new(TickClock::new()));
     let sink = Arc::new(MemorySink::new());
-    obs.set_sink(sink.clone());
+    let obs = Obs::with_clock(Arc::new(TickClock::new()), Some(sink.clone()));
     (FleetService::with_tracer(config(seed), obs, tracer), sink)
 }
 
@@ -117,10 +116,8 @@ fn main() {
     // --- live session over loopback TCP -----------------------------
     // The tracer is shared by the gateway and the service: one seed,
     // one clock, one flight recorder spanning net + shards + service.
-    let tracer = Tracer::new(seed, Arc::new(TickClock::new()), Tracer::DEFAULT_RING);
-    let trace_sink = Arc::new(MemorySink::new());
-    tracer.set_sink(trace_sink.clone());
-    tracer.set_dump_dir(out);
+    let (clock, trace_sink) = (Arc::new(TickClock::new()), Arc::new(MemorySink::new()));
+    let tracer = Tracer::new(seed, clock, Some(trace_sink.clone()), Some(out.to_path_buf()));
     let (mut svc, sink) = observed_service(seed, tracer.clone());
     let door = TcpDoor::bind("127.0.0.1:0").expect("bind loopback");
     let addr = door.addr();
@@ -194,9 +191,10 @@ fn main() {
     let flightrec = scrape(&mut harness, &svc, &addr, "/flightrec");
     assert!(flightrec.starts_with("{\"ts\":"), "/flightrec leads with its header line");
     println!(
-        "  trace: {} hops recorded, {} flight-recorder dumps, /trace/0 + /flightrec scraped",
+        "  trace: {} hops, {} flight-recorder dumps ({} failed), /trace/0 + /flightrec scraped",
         tracer.hops_recorded(),
-        tracer.dumps_taken()
+        tracer.dumps_taken(),
+        tracer.dump_failures()
     );
 
     // --- artifacts ----------------------------------------------------

@@ -44,12 +44,12 @@ fn main() {
     // Observe the run on a deterministic tick clock, with structured
     // events streaming to a JSONL file.
     let clock = Arc::new(TickClock::new());
-    let obs = Obs::with_clock(clock.clone());
     let out_dir = std::env::var("ALBA_MONITOR_OUT").unwrap_or_else(|_| "results".to_string());
     std::fs::create_dir_all(&out_dir).expect("create results directory");
     let events_path = std::path::Path::new(&out_dir).join("fleet_monitor_events.jsonl");
     let events_path = events_path.as_path();
-    obs.set_sink(Arc::new(FileSink::create(events_path).expect("create event log")));
+    let sink = Arc::new(FileSink::create(events_path).expect("create event log"));
+    let obs = Obs::with_clock(clock.clone(), Some(sink));
 
     println!("training the initial model and building the 52-node fleet...");
     let mut svc = FleetService::with_obs(cfg, obs.clone());

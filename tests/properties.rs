@@ -767,9 +767,8 @@ fn stress_run(cell: &StressCell, workers: usize) -> (Vec<String>, String) {
     cfg.uncertainty_threshold = 0.35;
     cfg.retrain_batch = 6;
     cfg.max_retrains = 1;
-    let obs = Obs::with_clock(Arc::new(TickClock::new()));
     let sink = Arc::new(MemorySink::new());
-    obs.set_sink(sink.clone());
+    let obs = Obs::with_clock(Arc::new(TickClock::new()), Some(sink.clone()));
     let mut svc = FleetService::with_chaos_plan(cfg, cell.plan.clone(), obs);
     svc.run_to_completion();
     (sink.lines(), svc.model().to_json())
