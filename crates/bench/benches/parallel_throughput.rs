@@ -181,8 +181,8 @@ fn main() {
     let extract = bench_extract(2_000);
     let workers = [1, 2, 4, 8];
     let services: Vec<FleetService> = workers.into_iter().map(serve_bench).collect();
-    let batches = services[0].fleet_batches();
-    let readings = batches.first().and_then(|b| b.first()).map_or(0, |s| s.values.len());
+    let readings =
+        services[0].fleet_batches().first().and_then(|b| b.first()).map_or(0, |s| s.values.len());
     let mut rates = vec![Vec::with_capacity(REPLAYS); services.len()];
     for _ in 0..REPLAYS {
         for (svc, rates) in services.iter().zip(&mut rates) {
